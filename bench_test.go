@@ -179,13 +179,11 @@ func BenchmarkSessionRunMemoized(b *testing.B) {
 	}
 }
 
-// Lockstep batch engine: the same memo-missed eight-point latency sweep
-// over one compiled kernel, dispatched per point (batching off) and
-// through the batch engine. Both sessions run on a single gate slot so
-// the comparison is work per core, not parallelism: the batch's win is
-// the trace synthesis + predecode hoisted out of the per-point loop and
-// the shared trace window staying cache-hot across the eight lanes
-// (docs/PERF.md, "Lockstep batching").
+// Compiled sweep: a memo-missed eight-point latency sweep over one
+// compiled kernel, with a fresh session per iteration. The session's
+// trace cache synthesizes and predecodes the shared trace once per
+// sweep (docs/PERF.md, "Sweeps run per point"); jobs=1 measures work
+// per core, jobs=4 the parallel fan-out.
 
 func benchSweepCompiled(b *testing.B) *mtvec.Compiled {
 	b.Helper()
@@ -211,31 +209,27 @@ func benchSweepCompiled(b *testing.B) *mtvec.Compiled {
 	return c
 }
 
-func benchBatchSweep(b *testing.B, batching bool) {
+func BenchmarkCompiledSweep(b *testing.B) {
 	c := benchSweepCompiled(b)
 	sched := []mtvec.Invocation{
 		{Unit: 1, N: 1 << 14},
 		{Unit: 0, N: 1 << 14},
 		{Unit: 1, N: 1 << 14},
 	}
+	specs := make([]mtvec.RunSpec, 8)
+	for k := range specs {
+		specs[k] = mtvec.CompiledRun(c, sched, mtvec.WithMemLatency(30+10*k))
+	}
 	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opts := []mtvec.SessionOption{mtvec.WithJobs(1)}
-		if !batching {
-			opts = append(opts, mtvec.WithoutBatching())
-		}
-		ses := mtvec.NewSession(opts...)
-		specs := make([]mtvec.RunSpec, 8)
-		for k := range specs {
-			specs[k] = mtvec.CompiledRun(c, sched, mtvec.WithMemLatency(30+10*k))
-		}
-		if _, err := ses.RunAll(ctx, specs...); err != nil {
-			b.Fatal(err)
-		}
+	for _, jobs := range []int{1, 4} {
+		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ses := mtvec.NewSession(mtvec.WithJobs(jobs))
+				if _, err := ses.RunAll(ctx, specs...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkBatchSweep(b *testing.B)    { benchBatchSweep(b, true) }
-func BenchmarkPerPointSweep(b *testing.B) { benchBatchSweep(b, false) }

@@ -299,12 +299,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Fan out through the session's batched sweep engine: memo-missed
-	// points sharing a workload simulate as lockstep batch lanes, the
-	// jobs gate bounds actual simulation concurrency, and shared points
-	// collapse onto one simulation. Per-point cache metadata is
-	// unchanged; a batched point's elapsed time is the wall time until
-	// its whole batch resolved.
+	// Fan out through the session: each point resolves like a single
+	// run, the jobs gate bounds actual simulation concurrency, and
+	// shared points collapse onto one simulation.
 	start := time.Now()
 	results := s.ses.RunAllTracked(r.Context(), specs...)
 	for i, res := range results {

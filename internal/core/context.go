@@ -63,7 +63,7 @@ func (v *vregState) addReader(now, end Cycle) bool {
 type portWindow struct{ S, E Cycle }
 
 // bankWinReserve is the slab-backed initial capacity of each bank's
-// read and write window lists (see newMachine). Pruning keeps the live
+// read and write window lists (see New). Pruning keeps the live
 // window count near the in-flight instruction depth, so a small reserve
 // covers the steady state without growth while keeping the slab cheap.
 const bankWinReserve = 4

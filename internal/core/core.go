@@ -213,17 +213,15 @@ type Machine struct {
 	progressStride Cycle
 	nextProgress   Cycle
 
-	ran    bool
-	primed bool
+	// maxCycles is the run's Stop.MaxCycles bound (0 = none); the clock
+	// skip never jumps past it.
+	maxCycles Cycle
+
+	ran bool
 }
 
 // New builds a machine from cfg.
-func New(cfg Config) (*Machine, error) { return newMachine(cfg, nil) }
-
-// newMachine builds a machine, carving its mutable state out of slab
-// when non-nil (batch lanes share one structure-of-arrays allocation
-// per state kind) and self-allocating otherwise.
-func newMachine(cfg Config, slab *batchSlab) (*Machine, error) {
+func New(cfg Config) (*Machine, error) {
 	cfg = cfg.Normalized()
 	// Derive runs the spec- and context-level validation; only the two
 	// cross-knob checks of Config.Validate remain.
@@ -248,10 +246,10 @@ func newMachine(cfg Config, slab *batchSlab) (*Machine, error) {
 	// (or one policy value) across concurrent runs safe by construction.
 	cfg.Policy = cfg.Policy.Clone()
 	m := &Machine{cfg: cfg, lat: cfg.Lat, mem: mem, cur: -1, lastDisp: -1}
-	// Released by report on the success path, and by runLoop/finish on
+	// Released by report on the success path, and by RunContext on
 	// every error path; ReleaseBacking is idempotent, so the paths may
 	// overlap safely.
-	//mtvlint:allow slotpair -- protocol spans functions: report/runLoop/finish release on every terminal path
+	//mtvlint:allow slotpair -- protocol spans functions: report/RunContext release on every terminal path
 	m.tl.AcquireBacking()
 	_, m.unfair = cfg.Policy.(sched.Unfair)
 	m.dual = cfg.DualScalar
@@ -290,31 +288,17 @@ func newMachine(cfg Config, slab *batchSlab) (*Machine, error) {
 
 	// One contiguous block per state kind: the contexts themselves, then
 	// every context's register and bank windows, sliced out of shared
-	// backing arrays so multi-context scans stay cache-friendly. Batch
-	// lanes take their blocks from one batch-wide slab instead, keeping
-	// all lanes' state dense for the lockstep loop.
-	var (
-		vregs []vregState
-		banks []bankState
-		wins  []portWindow
-	)
-	if slab != nil {
-		m.ctxs = slab.takeCtxs(cfg.Contexts)
-		vregs = slab.takeVRegs(cfg.Contexts * der.CtxVRegs)
-		banks = slab.takeBanks(cfg.Contexts * der.NumBanks)
-		wins = slab.takeWins(2 * bankWinReserve * cfg.Contexts * der.NumBanks)
-	} else {
-		m.ctxs = make([]hwContext, cfg.Contexts)
-		vregs = make([]vregState, cfg.Contexts*der.CtxVRegs)
-		banks = make([]bankState, cfg.Contexts*der.NumBanks)
-		wins = make([]portWindow, 2*bankWinReserve*cfg.Contexts*der.NumBanks)
-	}
-	// Seed every bank's port-window lists with a slab-backed reserve:
-	// pruning keeps live windows to a few in-flight instructions, so
-	// bankWinReserve covers the steady state and only a genuinely deep
-	// window list spills to an append-grown heap slice. The chunks are
-	// capacity-capped and disjoint, so lanes sharing one slab never
-	// alias each other's windows.
+	// backing arrays so multi-context scans stay cache-friendly.
+	m.ctxs = make([]hwContext, cfg.Contexts)
+	vregs := make([]vregState, cfg.Contexts*der.CtxVRegs)
+	banks := make([]bankState, cfg.Contexts*der.NumBanks)
+	wins := make([]portWindow, 2*bankWinReserve*cfg.Contexts*der.NumBanks)
+	// Seed every bank's port-window lists with a reserve carved from
+	// wins: pruning keeps live windows to a few in-flight instructions,
+	// so bankWinReserve covers the steady state and only a genuinely
+	// deep window list spills to an append-grown heap slice. The chunks
+	// are capacity-capped and disjoint, so no bank's appends can alias
+	// another's windows.
 	for i := range banks {
 		o := 2 * bankWinReserve * i
 		banks[i].reads = wins[o : o : o+bankWinReserve]
@@ -443,41 +427,16 @@ const cancelCheckStride Cycle = 1 << 12
 // a run that reached its stop condition — and an uncancelled RunContext
 // is byte-identical to Run.
 func (m *Machine) RunContext(ctx context.Context, stop Stop) (*stats.Report, error) {
-	if err := m.begin(); err != nil {
-		return nil, err
-	}
-	if _, err := m.runLoop(ctx, stop, 0); err != nil {
-		return nil, err
-	}
-	return m.finish(stop)
-}
-
-// begin marks the single-use machine as consumed.
-func (m *Machine) begin() error {
 	if m.ran {
-		return fmt.Errorf("core: machine already ran; build a new one")
+		return nil, fmt.Errorf("core: machine already ran; build a new one")
 	}
 	m.ran = true
-	return nil
-}
-
-// runLoop is the simulation loop in resumable form. It advances the
-// machine until the stop condition triggers or all work drains
-// (finished=true), or — when paceTarget > 0 — until the machine has
-// dispatched at least paceTarget dynamic instructions (finished=false),
-// in which case a later call with a higher target resumes exactly where
-// this one paused. Pausing happens only between cycles and every check
-// is a pure function of machine state, so a paced run steps through the
-// same cycles, in the same order, as a single uninterrupted call: this
-// is what makes Batch lanes byte-identical to solo runs by construction.
-func (m *Machine) runLoop(ctx context.Context, stop Stop, paceTarget int64) (bool, error) {
+	m.maxCycles = stop.MaxCycles
 	done := ctx.Done()
 	if done != nil {
 		if err := ctx.Err(); err != nil {
-			// An error abandons the lane in every caller: report never
-			// runs, so return the pooled timeline storage here.
-			m.tl.ReleaseBacking()
-			return false, err
+			m.tl.ReleaseBacking() // cancelled: report never runs
+			return nil, err
 		}
 	}
 	// Prime every context once; afterwards only contexts that consumed
@@ -485,11 +444,8 @@ func (m *Machine) runLoop(ctx context.Context, stop Stop, paceTarget int64) (boo
 	// A context's refill is a no-op while its head is pending and
 	// permanent once its job source drains, so the incremental pass is
 	// step-for-step identical to re-probing every context every cycle.
-	if !m.primed {
-		m.primed = true
-		for i := range m.ctxs {
-			m.ctxs[i].refill(m)
-		}
+	for i := range m.ctxs {
+		m.ctxs[i].refill(m)
 	}
 	var (
 		nextCheck = m.now + cancelCheckStride
@@ -500,14 +456,11 @@ func (m *Machine) runLoop(ctx context.Context, stop Stop, paceTarget int64) (boo
 		nctx      = len(m.ctxs)
 	)
 	for {
-		if paceTarget > 0 && m.dispatched >= paceTarget {
-			return false, nil
-		}
 		if done != nil && m.now >= nextCheck {
 			nextCheck = m.now + cancelCheckStride
 			if err := ctx.Err(); err != nil {
 				m.tl.ReleaseBacking() // cancelled: report never runs
-				return false, err
+				return nil, err
 			}
 		}
 		if maxCycles > 0 && m.now >= maxCycles {
@@ -545,11 +498,6 @@ func (m *Machine) runLoop(ctx context.Context, stop Stop, paceTarget int64) (boo
 			m.notifyProgress()
 		}
 	}
-	return true, nil
-}
-
-// finish surfaces stream errors and assembles the run's Report.
-func (m *Machine) finish(stop Stop) (*stats.Report, error) {
 	if err := m.streamErrors(); err != nil {
 		m.tl.ReleaseBacking() // failed run: report never runs
 		return nil, err
@@ -707,6 +655,10 @@ func (m *Machine) maybeSkipAhead(failed int, hint Cycle) {
 // dual-scalar mode), keeping the lost-decode counter identical to
 // cycle-by-cycle stepping.
 func (m *Machine) skipTo(target Cycle, lostPerCycle int64) {
+	if m.maxCycles > 0 && target > m.maxCycles {
+		// Stepping would stop at the bound; so must the skip.
+		target = m.maxCycles
+	}
 	if target <= m.now+1 {
 		return
 	}

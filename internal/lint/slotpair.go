@@ -6,12 +6,12 @@ import (
 	"strings"
 )
 
-// SlotPair enforces the Gate.TryAcquire protocol introduced in PR 9:
-// every slot (or pooled resource) claimed through an Acquire-family
-// method must be returned by the matching Release on all paths out of
-// the claiming function — including panics and early returns, which is
-// exactly what a deferred Release guarantees and ad-hoc call-site
-// pairing does not.
+// SlotPair enforces acquire/release pairing for pooled resources, such
+// as the stats timeline's AcquireBacking/ReleaseBacking: every resource
+// claimed through an Acquire-family method must be returned by the
+// matching Release on all paths out of the claiming function —
+// including panics and early returns, which is exactly what a deferred
+// Release guarantees and ad-hoc call-site pairing does not.
 //
 // Mechanically: a call x.M(...) where M is "Acquire", "TryAcquire" or
 // "Acquire<Suffix>"/"TryAcquire<Suffix>", and x's type also has the
@@ -24,7 +24,7 @@ import (
 // site naming where the release lives.
 var SlotPair = &Analyzer{
 	Name: "slotpair",
-	Doc:  "every Acquire/TryAcquire must be matched by a deferred Release on all paths (panic- and early-return-safe)",
+	Doc:  "every Acquire-family call (e.g. AcquireBacking) must be matched by a deferred Release on all paths (panic- and early-return-safe)",
 	Run:  runSlotPair,
 }
 

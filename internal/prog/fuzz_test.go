@@ -85,7 +85,7 @@ func fuzzSource(data []byte, blocks int) *SliceSource {
 //   - the predecoded slice replayed through NewDecodedStream delivers a
 //     DynInst sequence bit-identical to a fresh source-driven stream
 //     over the same bytes, with the same terminal error — the
-//     stream.go contract the trace cache and the batch engine lean on;
+//     stream.go contract the trace cache leans on;
 //   - every DecodedInst's cached decode fields agree with the ISA
 //     tables for its opcode.
 func FuzzDecode(f *testing.F) {

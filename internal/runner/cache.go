@@ -16,9 +16,21 @@ import (
 //
 // The zero Cache is ready to use.
 type Cache[K comparable, V any] struct {
+	// Cap, when positive, bounds how many keys the cache holds: installing
+	// a key beyond it evicts the oldest. Eviction costs a recomputation,
+	// never a wrong value; waiters on an evicted entry still receive its
+	// result. Set it before first use.
+	Cap int
+
 	mu      sync.Mutex
 	entries map[K]*cacheEntry[V]
+	order   []keyedEntry[K, V] // insertion order; kept only when Cap > 0
 	misses  atomic.Int64
+}
+
+type keyedEntry[K comparable, V any] struct {
+	key K
+	e   *cacheEntry[V]
 }
 
 type cacheEntry[V any] struct {
@@ -41,13 +53,40 @@ func (c *Cache[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 		return e.val, e.err
 	}
 	e := &cacheEntry[V]{done: make(chan struct{})}
-	c.entries[key] = e
+	c.install(key, e)
 	c.mu.Unlock()
 
 	c.misses.Add(1)
 	e.val, e.err = fn()
 	close(e.done)
 	return e.val, e.err
+}
+
+// install adds e under key and, when Cap is set, evicts the oldest
+// entries beyond it. Called with mu held.
+func (c *Cache[K, V]) install(key K, e *cacheEntry[V]) {
+	c.entries[key] = e
+	if c.Cap <= 0 {
+		return
+	}
+	c.order = append(c.order, keyedEntry[K, V]{key, e})
+	for len(c.entries) > c.Cap {
+		old := c.order[0]
+		c.order = c.order[1:]
+		if c.entries[old.key] == old.e {
+			delete(c.entries, old.key)
+		}
+	}
+	if len(c.order) > 2*c.Cap {
+		// Forget leaves records of removed entries behind; drop them.
+		live := c.order[:0]
+		for _, o := range c.order {
+			if c.entries[o.key] == o.e {
+				live = append(live, o)
+			}
+		}
+		c.order = live
+	}
 }
 
 // Forget removes key's entry, so the next Do for it recomputes.
@@ -112,7 +151,7 @@ func (c *Cache[K, V]) DoContext(ctx context.Context, key K, fn func() (V, error)
 			continue
 		}
 		e := &cacheEntry[V]{done: make(chan struct{})}
-		c.entries[key] = e
+		c.install(key, e)
 		c.mu.Unlock()
 
 		c.misses.Add(1)
@@ -140,7 +179,7 @@ func (c *Cache[K, V]) Add(key K, val V) bool {
 	}
 	e := &cacheEntry[V]{done: make(chan struct{}), val: val}
 	close(e.done)
-	c.entries[key] = e
+	c.install(key, e)
 	return true
 }
 

@@ -187,78 +187,6 @@ func TestGateBoundsConcurrency(t *testing.T) {
 	}
 }
 
-func TestGateTryAcquire(t *testing.T) {
-	g := NewGate(4)
-	if got := g.TryAcquire(0); got != 0 {
-		t.Fatalf("TryAcquire(0) = %d", got)
-	}
-	if got := g.TryAcquire(-3); got != 0 {
-		t.Fatalf("TryAcquire(-3) = %d", got)
-	}
-	// Claim more than the limit: capped at the free slots.
-	if got := g.TryAcquire(10); got != 4 {
-		t.Fatalf("TryAcquire(10) on an idle 4-slot gate = %d", got)
-	}
-	if got := g.Active(); got != 4 {
-		t.Fatalf("Active() = %d after claiming 4", got)
-	}
-	// Fully claimed: nothing free, and TryAcquire must not block.
-	if got := g.TryAcquire(1); got != 0 {
-		t.Fatalf("TryAcquire(1) on a full gate = %d", got)
-	}
-	g.Release(3)
-	if got := g.TryAcquire(10); got != 3 {
-		t.Fatalf("TryAcquire(10) after Release(3) = %d", got)
-	}
-	g.Release(4)
-	if got := g.Active(); got != 0 {
-		t.Fatalf("Active() = %d after releasing everything", got)
-	}
-	// Release of nothing is a no-op.
-	g.Release(0)
-	g.Release(-1)
-	if got := g.Active(); got != 0 {
-		t.Fatalf("Active() = %d after no-op releases", got)
-	}
-}
-
-func TestGateTryAcquireInsideDo(t *testing.T) {
-	// The batched-simulation pattern: a section already inside Do widens
-	// across idle slots. TryAcquire while holding a slot must not block,
-	// and claimed slots must count against concurrent Do admissions.
-	g := NewGate(3)
-	admitted := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan int)
-	go g.Do(func() {
-		got := g.TryAcquire(8) // 2 free beyond our own slot
-		close(admitted)
-		<-release
-		g.Release(got)
-		done <- got
-	})
-	<-admitted
-	// All three slots are spoken for: a second Do must wait.
-	var second atomic.Bool
-	go g.Do(func() { second.Store(true) })
-	time.Sleep(10 * time.Millisecond)
-	if second.Load() {
-		t.Fatal("Do admitted while TryAcquire held every slot")
-	}
-	close(release)
-	if got := <-done; got != 2 {
-		t.Fatalf("TryAcquire(8) inside a 3-slot Do = %d, want 2", got)
-	}
-	// Released slots wake the parked Do.
-	deadline := time.Now().Add(2 * time.Second)
-	for !second.Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("parked Do never admitted after Release")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func TestCacheForget(t *testing.T) {
 	var c Cache[string, int]
 	calls := 0
@@ -277,6 +205,43 @@ func TestCacheForget(t *testing.T) {
 		t.Fatalf("Len = %d", n)
 	}
 	c.Forget("absent") // forgetting a missing key is a no-op
+}
+
+// TestCacheCapEvictsOldest: a bounded cache holds at most Cap keys,
+// evicting in insertion order; an evicted key recomputes, and records
+// of forgotten entries never evict a live one.
+func TestCacheCapEvictsOldest(t *testing.T) {
+	c := Cache[int, int]{Cap: 3}
+	calls := 0
+	get := func(k int) int {
+		v, _ := c.Do(k, func() (int, error) { calls++; return k * 10, nil })
+		return v
+	}
+	for k := 0; k < 5; k++ {
+		get(k)
+	}
+	if n := c.Len(); n != 3 {
+		t.Fatalf("Len = %d, want cap 3", n)
+	}
+	for k, want := range map[int]bool{0: false, 1: false, 2: true, 3: true, 4: true} {
+		if _, ok := c.Peek(k); ok != want {
+			t.Errorf("Peek(%d) ok = %v, want %v", k, ok, want)
+		}
+	}
+	if v := get(0); v != 0 || calls != 6 {
+		t.Fatalf("evicted key: value %d after %d computes, want 0 after 6", v, calls)
+	}
+	// Churn Forget/recompute on one key: the oldest live key survives.
+	for i := 0; i < 20; i++ {
+		c.Forget(0)
+		get(0)
+	}
+	if _, ok := c.Peek(3); !ok {
+		t.Error("forgotten-entry records evicted a live key")
+	}
+	if n := c.Len(); n != 3 {
+		t.Errorf("Len = %d after churn, want 3", n)
+	}
 }
 
 // TestDoContextCancelledLeaderWaiterRetries: a waiter that observes the

@@ -9,8 +9,8 @@
 // execute at once across every layer of a nested orchestration. A
 // RunSpec declares a simulation point (mode, workloads, machine
 // options); Session.Run simulates it under a context.Context, and
-// Session.RunAll fans a batch out over the gate with deterministic
-// collection order.
+// Session.RunAll fans a sweep out point by point over the gate with
+// deterministic collection order.
 //
 // # Concurrency and determinism
 //
@@ -58,6 +58,7 @@ import (
 	"mtvec/internal/runner"
 	"mtvec/internal/stats"
 	"mtvec/internal/store"
+	"mtvec/internal/trace"
 )
 
 // Session executes RunSpecs: it memoizes results, bounds concurrency,
@@ -67,19 +68,6 @@ type Session struct {
 	jobs atomic.Int64 // concurrency bound, mirrored into gate
 	sims atomic.Int64 // machine runs actually executed
 	memo bool
-
-	// nobatch disables RunAll's lockstep batching (see batch.go); the
-	// zero value means batching is on.
-	nobatch atomic.Bool
-
-	// batchWidth / batchWindow pin RunAll's batch shape; 0 (the zero
-	// value) selects adaptive shaping. cpi refines the shaping model
-	// with measured cycles-per-instruction, keyed by instruction-supply
-	// provenance. All three are scheduling state only — results and
-	// cache keys never depend on them (see batch.go).
-	batchWidth  atomic.Int64
-	batchWindow atomic.Int64
-	cpi         sync.Map // provenance key -> *cpiTrack
 
 	// st boxes the optional persistent second cache tier (nil box or nil
 	// backend = none); storeHits counts runs this session served from it,
@@ -100,6 +88,10 @@ type Session struct {
 	// across nested fan-outs.
 	gate *runner.Gate
 	runs runner.Cache[string, *stats.Report]
+
+	// traces caches compiled-kernel traces, synthesized and predecoded,
+	// by kernel identity and schedule (see compiledTrace).
+	traces runner.Cache[string, *trace.Trace]
 
 	// idTab assigns session-stable identities to run artifacts
 	// (workloads, compiled kernels, policy instances) for memo keys.
@@ -156,6 +148,7 @@ func WithStore(st store.Backend) SessionOption {
 // concurrency bound defaults to runtime.NumCPU().
 func New(opts ...SessionOption) *Session {
 	s := &Session{gate: runner.NewGate(0), memo: true}
+	s.traces.Cap = traceCacheCap
 	s.SetJobs(0)
 	for _, opt := range opts {
 		opt(s)
@@ -219,12 +212,12 @@ func (s *Session) Active() int { return s.gate.Active() }
 
 // SetPace sets a minimum wall duration per simulation inside a gated
 // slot: a slot that finishes sooner sleeps out the remainder while
-// still holding the slot, and a lockstep batch of n lanes pads n
-// windows. Zero (the default) disables. Results are unaffected
-// — only timing changes. The knob exists for capacity emulation in load
-// tests (see docs/CLUSTER.md): on a machine with fewer cores than the
-// deployment being modelled, pacing makes a node's simulation capacity
-// the bottleneck, so horizontal scaling behaves as it would at size.
+// still holding the slot. Zero (the default) disables. Results are
+// unaffected — only timing changes. The knob exists for capacity
+// emulation in load tests (see docs/CLUSTER.md): on a machine with
+// fewer cores than the deployment being modelled, pacing makes a node's
+// simulation capacity the bottleneck, so horizontal scaling behaves as
+// it would at size.
 func (s *Session) SetPace(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -236,12 +229,10 @@ func (s *Session) SetPace(d time.Duration) {
 func (s *Session) Pace() time.Duration { return time.Duration(s.pace.Load()) }
 
 // paceSlot sleeps out the remainder of the pace window for a gated slot
-// that started at start and ran n machine simulations. A lockstep batch
-// pads n windows, not one: the knob emulates per-simulation capacity,
-// and batching must not make emulated work look free. Called while
-// still inside the gate; a cancelled ctx cuts the sleep short.
-func (s *Session) paceSlot(ctx context.Context, start time.Time, n int) {
-	d := time.Duration(s.pace.Load()) * time.Duration(n)
+// that started at start. Called while still inside the gate; a
+// cancelled ctx cuts the sleep short.
+func (s *Session) paceSlot(ctx context.Context, start time.Time) {
+	d := time.Duration(s.pace.Load())
 	if d <= 0 {
 		return
 	}
@@ -343,6 +334,13 @@ func (s *Session) RunTracked(ctx context.Context, spec RunSpec) (*stats.Report, 
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	return s.resolve(ctx, spec, p)
+}
+
+// resolve answers a prepared spec through the cache tiers — memo, then
+// store, then simulation with write-through. RunTracked and every
+// RunAllTracked point share it.
+func (s *Session) resolve(ctx context.Context, spec RunSpec, p plan) (*stats.Report, Source, error) {
 	st := s.backend()
 	if !s.memo || !p.memoizable {
 		// Memo-less path (session-wide or observer-carrying spec): the
@@ -437,12 +435,9 @@ func (s *Session) Cached(spec RunSpec) (*stats.Report, Source, bool) {
 // RunAll simulates the specs concurrently under the session's jobs
 // bound and returns the Reports pinned to input order — slot i is
 // specs[i]'s Report (or nil on its error) no matter in which order the
-// points complete, batch together, or get cancelled. Every spec runs
-// even if an earlier one fails; errors are joined in input order, so
-// both results and error text are independent of scheduling.
-// Memo-and-store-missed points that share an instruction supply are
-// simulated in lockstep batches (see RunAllTracked and batch.go);
-// results are byte-identical either way.
+// points complete or get cancelled. Every spec runs even if an earlier
+// one fails; errors are joined in input order, so both results and
+// error text are independent of scheduling.
 func (s *Session) RunAll(ctx context.Context, specs ...RunSpec) ([]*stats.Report, error) {
 	results := s.RunAllTracked(ctx, specs...)
 	reps := make([]*stats.Report, len(results))
@@ -451,6 +446,42 @@ func (s *Session) RunAll(ctx context.Context, specs ...RunSpec) ([]*stats.Report
 		reps[i], errs[i] = results[i].Report, results[i].Err
 	}
 	return reps, errors.Join(errs...)
+}
+
+// Result is one RunAllTracked point: the Report (nil on error), which
+// cache tier answered, the wall time the point took inside RunAll, and
+// the point's error, if any.
+type Result struct {
+	Report  *stats.Report
+	Source  Source
+	Elapsed time.Duration
+	Err     error
+}
+
+// RunAllTracked is RunAll plus per-point metadata: for each spec, the
+// Report, the cache tier that answered, the point's wall time inside
+// the call, and its error. Results are pinned to input order no matter
+// how the points are scheduled or cancelled. Each point is prepared
+// once and resolved exactly as Session.RunTracked resolves it.
+func (s *Session) RunAllTracked(ctx context.Context, specs ...RunSpec) []Result {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	results := make([]Result, len(specs))
+	// The pool only orchestrates: simulations admit through the
+	// session's gate, which bounds them across concurrent sweeps too.
+	_ = runner.New(s.Jobs()).Map(len(specs), func(i int) error {
+		start := time.Now()
+		r := &results[i]
+		if p, err := specs[i].prepare(); err != nil {
+			r.Err = err
+		} else {
+			r.Report, r.Source, r.Err = s.resolve(ctx, specs[i], p)
+		}
+		r.Elapsed = time.Since(start)
+		return nil
+	})
+	return results
 }
 
 // simulate executes one machine run under the gate.
@@ -464,12 +495,12 @@ func (s *Session) simulate(ctx context.Context, spec RunSpec, p plan) (rep *stat
 			return
 		}
 		start := time.Now()
-		defer s.paceSlot(ctx, start, 1)
+		defer s.paceSlot(ctx, start)
 		var m *core.Machine
 		if m, err = core.New(p.cfg); err != nil {
 			return
 		}
-		if err = attachThreads(m, spec, p.cfg); err != nil {
+		if err = s.attachThreads(ctx, m, spec, p.cfg); err != nil {
 			return
 		}
 		s.sims.Add(1)
@@ -480,7 +511,7 @@ func (s *Session) simulate(ctx context.Context, spec RunSpec, p plan) (rep *stat
 
 // attachThreads feeds the machine's contexts according to the spec's
 // mode, reproducing the Run* methodologies exactly.
-func attachThreads(m *core.Machine, spec RunSpec, cfg core.Config) error {
+func (s *Session) attachThreads(ctx context.Context, m *core.Machine, spec RunSpec, cfg core.Config) error {
 	switch spec.mode {
 	case ModeSolo:
 		w := spec.workloads[0]
@@ -512,13 +543,37 @@ func attachThreads(m *core.Machine, spec RunSpec, cfg core.Config) error {
 		}
 		return nil
 	case ModeCompiled:
-		tr, err := spec.compiled.Trace(spec.schedule)
+		tr, err := s.compiledTrace(ctx, spec)
 		if err != nil {
 			return err
 		}
 		return m.SetThreadStream(0, spec.compiled.Prog.Name, tr.Stream())
 	}
 	return errors.New("session: spec has no mode")
+}
+
+// traceCacheCap bounds the session's compiled-trace cache. A sweep over
+// machine options reuses one trace; the cap keeps a session that runs
+// many distinct schedules from pinning every predecoded trace.
+const traceCacheCap = 8
+
+// compiledTrace returns the compiled spec's trace, synthesized and
+// predecoded once per session for each kernel and schedule, so the
+// points of a sweep share one instruction supply. A synthesis requested
+// under a cancelled ctx fails with ctx.Err() and is not cached.
+func (s *Session) compiledTrace(ctx context.Context, spec RunSpec) (*trace.Trace, error) {
+	key := string(appendSupply(nil, &spec, s.idOf))
+	return s.traces.DoContext(ctx, key, func() (*trace.Trace, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		tr, err := spec.compiled.Trace(spec.schedule)
+		if err != nil {
+			return nil, err
+		}
+		tr.Decoded() // predecode before the trace is shared
+		return tr, nil
+	})
 }
 
 // IsContextErr reports whether err came from a cancelled or expired

@@ -508,16 +508,7 @@ func (s RunSpec) memoKey(p *plan, idOf func(any) uint64) string {
 	for _, w := range s.workloads {
 		b = appendNum(b, int64(idOf(w)))
 	}
-	if s.compiled != nil {
-		b = append(b, "|compiled="...)
-		b = appendNum(b, int64(idOf(s.compiled)))
-		b = append(b, "|sched="...)
-		for _, inv := range s.schedule {
-			b = appendNum(b, int64(inv.Unit))
-			b = append(b, ':')
-			b = appendNum(b, inv.N)
-		}
-	}
+	b = appendSupply(b, &s, idOf)
 	b = append(b, "|policy="...)
 	switch {
 	case p.policyName != "":
@@ -533,32 +524,22 @@ func (s RunSpec) memoKey(p *plan, idOf func(any) uint64) string {
 	return string(b)
 }
 
-// provenanceKey encodes the spec's instruction supply — mode, workload
-// identities, compiled kernel and schedule — and nothing of the machine
-// shape. RunAll groups memo-missed points by this key: points that
-// share it replay the same dynamic streams, so simulating them as
-// lockstep batch lanes keeps the shared predecoded trace hot across
-// the whole group. The key orders nothing and caches nothing; it only
-// groups.
-func (s RunSpec) provenanceKey(idOf func(any) uint64) string {
-	b := make([]byte, 0, 64)
-	b = append(b, "mode="...)
-	b = appendNum(b, int64(s.mode))
-	b = append(b, "|ws="...)
-	for _, w := range s.workloads {
-		b = appendNum(b, int64(idOf(w)))
+// appendSupply encodes a compiled spec's instruction supply — kernel
+// identity and schedule — and nothing for other modes. It keys both the
+// memo and the session's trace cache.
+func appendSupply(b []byte, s *RunSpec, idOf func(any) uint64) []byte {
+	if s.compiled == nil {
+		return b
 	}
-	if s.compiled != nil {
-		b = append(b, "|compiled="...)
-		b = appendNum(b, int64(idOf(s.compiled)))
-		b = append(b, "|sched="...)
-		for _, inv := range s.schedule {
-			b = appendNum(b, int64(inv.Unit))
-			b = append(b, ':')
-			b = appendNum(b, inv.N)
-		}
+	b = append(b, "|compiled="...)
+	b = appendNum(b, int64(idOf(s.compiled)))
+	b = append(b, "|sched="...)
+	for _, inv := range s.schedule {
+		b = appendNum(b, int64(inv.Unit))
+		b = append(b, ':')
+		b = appendNum(b, inv.N)
 	}
-	return string(b)
+	return b
 }
 
 // persistKey canonically encodes the spec for the on-disk result store,

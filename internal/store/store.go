@@ -442,11 +442,10 @@ func (s *Dir) lock(ctx context.Context, key string) (func(), error) {
 // TryLocker is the optional non-blocking face of a backend's
 // cross-process single-flight. TryLock claims key's lock without
 // waiting and returns its release function, or nil when the lock is
-// held elsewhere (or the backend cannot lock). Batched sweeps use it:
-// they claim every missed key before simulating so concurrent
-// processes skip work they can see in flight, but never wait — the
-// locks stay advisory, exactly like Do's (all writers of one key write
-// identical bytes).
+// held elsewhere (or the backend cannot lock). A caller that must not
+// wait claims a missed key before simulating, so concurrent processes
+// can skip work they see in flight — the locks stay advisory, exactly
+// like Do's (all writers of one key write identical bytes).
 type TryLocker interface {
 	TryLock(key string) (release func())
 }
@@ -454,8 +453,8 @@ type TryLocker interface {
 // TryLock claims key's lock file without blocking: one creation
 // attempt, plus one steal-and-retry when the existing lock is older
 // than the staleness bound (its holder crashed — without this, an
-// abandoned lock would disable batched-sweep coordination for the key
-// forever). Returns nil when the lock is live elsewhere.
+// abandoned lock would block coordination for the key forever).
+// Returns nil when the lock is live elsewhere.
 func (s *Dir) TryLock(key string) (release func()) {
 	path := s.path(key) + ".lock"
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

@@ -32,8 +32,7 @@ func importEquivalent(t *testing.T, w *mtvec.Workload) *mtvec.Workload {
 
 // TestImportedTraceReplaysIdentically: an RVV-round-tripped trace must
 // produce byte-identical Reports to its in-DSL equivalent, solo and
-// multithreaded, across -jobs counts and with lockstep batching on and
-// off.
+// multithreaded, across -jobs counts.
 func TestImportedTraceReplaysIdentically(t *testing.T) {
 	ax, sp := build(t, "ax"), build(t, "sp")
 	iax, isp := importEquivalent(t, ax), importEquivalent(t, sp)
@@ -62,7 +61,6 @@ func TestImportedTraceReplaysIdentically(t *testing.T) {
 	}{
 		{"jobs=1", []mtvec.SessionOption{mtvec.WithJobs(1)}},
 		{"jobs=4", []mtvec.SessionOption{mtvec.WithJobs(4)}},
-		{"unbatched", []mtvec.SessionOption{mtvec.WithoutBatching()}},
 	} {
 		reps, err := mtvec.NewSession(tc.opts...).RunAll(ctx, mk(iax, isp)...)
 		if err != nil {
