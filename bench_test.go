@@ -106,9 +106,7 @@ func benchEngine(b *testing.B, contexts int) {
 	b.ResetTimer()
 	var cycles int64
 	for i := 0; i < b.N; i++ {
-		cfg := mtvec.DefaultConfig()
-		cfg.Contexts = contexts
-		rep, err := mtvec.RunQueue(suite, cfg)
+		rep, err := mtvec.NewSession().Run(context.Background(), mtvec.Queue(suite, mtvec.WithContexts(contexts)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -121,10 +119,10 @@ func BenchmarkEngineReference(b *testing.B)   { benchEngine(b, 1) }
 func BenchmarkEngineFourThreads(b *testing.B) { benchEngine(b, 4) }
 
 // Session API overhead: the same solo run through the direct machine
-// path, through a memo-less Session (spec validation + gate + context
-// plumbing per run), and through a memoizing Session (cache-hit path).
-// The first two must be within noise of each other — the redesign's
-// per-run overhead budget.
+// path, through a fresh Session per run (spec validation, keys, gate
+// and context plumbing), and through one Session (cache-hit path). The
+// first two must be within noise of each other — the session's per-run
+// overhead budget.
 
 func benchSoloWorkload(b *testing.B) *mtvec.Workload {
 	b.Helper()
@@ -155,12 +153,11 @@ func BenchmarkDirectMachineRun(b *testing.B) {
 
 func BenchmarkSessionRun(b *testing.B) {
 	w := benchSoloWorkload(b)
-	ses := mtvec.NewSession(mtvec.WithoutMemo())
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ses.Run(ctx, mtvec.Solo(w)); err != nil {
+		if _, err := mtvec.NewSession().Run(ctx, mtvec.Solo(w)); err != nil {
 			b.Fatal(err)
 		}
 	}

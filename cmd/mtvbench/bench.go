@@ -95,16 +95,18 @@ func benchCases(scale float64, jobs int) ([]benchCase, error) {
 		}
 		suite = append(suite, w)
 	}
-	engine := func(contexts int) func() (int64, error) {
-		return func() (int64, error) {
-			cfg := mtvec.DefaultConfig()
-			cfg.Contexts = contexts
-			rep, err := mtvec.RunQueue(suite, cfg)
-			if err != nil {
-				return 0, err
-			}
-			return rep.Cycles, nil
+	// queue simulates ws on a fresh session, so every iteration pays
+	// for a full simulation rather than a memo hit.
+	ctx := context.Background()
+	queue := func(ws []*mtvec.Workload, contexts int) (int64, error) {
+		rep, err := mtvec.NewSession().Run(ctx, mtvec.Queue(ws, mtvec.WithContexts(contexts)))
+		if err != nil {
+			return 0, err
 		}
+		return rep.Cycles, nil
+	}
+	engine := func(contexts int) func() (int64, error) {
+		return func() (int64, error) { return queue(suite, contexts) }
 	}
 	cases = append(cases,
 		benchCase{name: "engine/reference", fn: engine(1)},
@@ -124,15 +126,7 @@ func benchCases(scale float64, jobs int) ([]benchCase, error) {
 	}
 	cases = append(cases, benchCase{
 		name: "benchsuite/queue4",
-		fn: func() (int64, error) {
-			cfg := mtvec.DefaultConfig()
-			cfg.Contexts = 4
-			rep, err := mtvec.RunQueue(bench, cfg)
-			if err != nil {
-				return 0, err
-			}
-			return rep.Cycles, nil
-		},
+		fn:   func() (int64, error) { return queue(bench, 4) },
 	})
 	var rvv bytes.Buffer
 	if err := mtvec.ExportRVVTrace(&rvv, bench[0].Trace); err != nil {
@@ -150,7 +144,8 @@ func benchCases(scale float64, jobs int) ([]benchCase, error) {
 	})
 
 	// Per-run API overhead, mirroring the testing.B suite: the direct
-	// machine path, a memo-less Session, and the memoized cache hit.
+	// machine path, a run on a fresh Session, and the memoized cache
+	// hit.
 	solo, err := mtvec.WorkloadByShort("tf").Build(scale)
 	if err != nil {
 		return nil, err
@@ -172,27 +167,25 @@ func benchCases(scale float64, jobs int) ([]benchCase, error) {
 			return rep.Cycles, nil
 		},
 	})
-	plain := mtvec.NewSession(mtvec.WithoutMemo())
 	memo := mtvec.NewSession()
-	ctx := context.Background()
-	sessionCase := func(name string, ses *mtvec.Session, simulates bool) benchCase {
-		return benchCase{
-			name: name,
+	cases = append(cases,
+		benchCase{
+			name: "session/run",
 			fn: func() (int64, error) {
-				rep, err := ses.Run(ctx, mtvec.Solo(solo))
+				rep, err := mtvec.NewSession().Run(ctx, mtvec.Solo(solo))
 				if err != nil {
 					return 0, err
 				}
-				if !simulates {
-					return 0, nil // cache hit: no cycles simulated
-				}
 				return rep.Cycles, nil
 			},
-		}
-	}
-	cases = append(cases,
-		sessionCase("session/run", plain, true),
-		sessionCase("session/memoized", memo, false),
+		},
+		benchCase{
+			name: "session/memoized",
+			fn: func() (int64, error) {
+				_, err := memo.Run(ctx, mtvec.Solo(solo))
+				return 0, err // cache hit: no cycles simulated
+			},
+		},
 	)
 
 	// Compiled-kernel sweep: a memo-missed eight-point latency sweep

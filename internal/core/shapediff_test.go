@@ -27,6 +27,9 @@ type diffPoint struct {
 	cfg    Config
 	stop   Stop
 	attach func(m *Machine) error
+	// spans captures the run's spans into Report.Spans through a
+	// SpanRecorder, as the session's WithSpans does.
+	spans bool
 }
 
 // randPoint derives a configuration from seed. The space covers the
@@ -76,7 +79,7 @@ func randPoint(seed int64) diffPoint {
 		cfg.IssueWidth = 2
 	}
 	cfg.DisableFastForward = r.Intn(5) == 0
-	cfg.RecordSpans = r.Intn(3) == 0
+	spans := r.Intn(3) == 0
 	cfg.ProgressStride = []Cycle{256, 1024, 4096}[r.Intn(3)]
 
 	// Per-context supply parameters, captured as values so attach can
@@ -148,7 +151,7 @@ func randPoint(seed int64) diffPoint {
 		}
 	}
 	name := fmt.Sprintf("seed%d/%s/ctx%d/%s/lat%d", seed, archName, cfg.Contexts, policy, cfg.Mem.Latency)
-	return diffPoint{name: name, cfg: cfg, stop: stop, attach: attach}
+	return diffPoint{name: name, cfg: cfg, stop: stop, attach: attach, spans: spans}
 }
 
 // diffResult is everything a run observably produces.
@@ -166,6 +169,11 @@ func runPoint(t *testing.T, pt diffPoint, disableFF bool) diffResult {
 	cfg := pt.cfg
 	cfg.DisableFastForward = disableFF
 	cfg.Observers = []Observer{log}
+	var spans *SpanRecorder
+	if pt.spans {
+		spans = &SpanRecorder{}
+		cfg.Observers = append(cfg.Observers, spans)
+	}
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatalf("%s: New: %v", pt.name, err)
@@ -176,6 +184,9 @@ func runPoint(t *testing.T, pt diffPoint, disableFF bool) diffResult {
 	rep, err := m.Run(pt.stop)
 	if err != nil {
 		return diffResult{err: err, log: log}
+	}
+	if spans != nil {
+		rep.Spans = spans.Spans
 	}
 	return diffResult{rep: rep, rendered: fmt.Sprintf("%#v", *rep), log: log}
 }

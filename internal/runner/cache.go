@@ -39,29 +39,6 @@ type cacheEntry[V any] struct {
 	err  error
 }
 
-// Do returns the memoized value for key, computing it with fn on the
-// first request. fn must not call Do with the same key (it would
-// deadlock on itself).
-func (c *Cache[K, V]) Do(key K, fn func() (V, error)) (V, error) {
-	c.mu.Lock()
-	if c.entries == nil {
-		c.entries = make(map[K]*cacheEntry[V])
-	}
-	if e, ok := c.entries[key]; ok {
-		c.mu.Unlock()
-		<-e.done
-		return e.val, e.err
-	}
-	e := &cacheEntry[V]{done: make(chan struct{})}
-	c.install(key, e)
-	c.mu.Unlock()
-
-	c.misses.Add(1)
-	e.val, e.err = fn()
-	close(e.done)
-	return e.val, e.err
-}
-
 // install adds e under key and, when Cap is set, evicts the oldest
 // entries beyond it. Called with mu held.
 func (c *Cache[K, V]) install(key K, e *cacheEntry[V]) {
@@ -78,7 +55,7 @@ func (c *Cache[K, V]) install(key K, e *cacheEntry[V]) {
 		}
 	}
 	if len(c.order) > 2*c.Cap {
-		// Forget leaves records of removed entries behind; drop them.
+		// Forgotten (cancelled) entries leave records behind; drop them.
 		live := c.order[:0]
 		for _, o := range c.order {
 			if c.entries[o.key] == o.e {
@@ -87,14 +64,6 @@ func (c *Cache[K, V]) install(key K, e *cacheEntry[V]) {
 		}
 		c.order = live
 	}
-}
-
-// Forget removes key's entry, so the next Do for it recomputes.
-// Goroutines already waiting on the entry still receive its result.
-func (c *Cache[K, V]) Forget(key K) {
-	c.mu.Lock()
-	delete(c.entries, key)
-	c.mu.Unlock()
 }
 
 // forgetEntry removes key only if it still maps to e, so a retry never
@@ -115,9 +84,11 @@ func IsContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// DoContext is Do with cancellation discipline: entries whose compute
-// failed with a context error are forgotten (never memoized), the
-// computing caller returns its own cancellation, a parked waiter stays
+// DoContext returns the memoized value for key, computing it with fn on
+// the first request. fn must not call DoContext with the same key (it
+// would deadlock on itself). Cancellation follows one discipline:
+// entries whose compute failed with a context error are forgotten
+// (never memoized), the computing caller returns its own cancellation, a parked waiter stays
 // responsive to its own ctx (it unblocks with ctx.Err() while the
 // leader's computation continues for the others), and a waiter that
 // observes another caller's cancellation retries the computation under
@@ -167,7 +138,7 @@ func (c *Cache[K, V]) DoContext(ctx context.Context, key K, fn func() (V, error)
 // Add installs an externally-computed value for key if the cache has no
 // entry for it (in-flight or done), reporting whether it was installed.
 // It never disturbs an existing entry, so the single-computation
-// guarantee for Do callers is unaffected.
+// guarantee for DoContext callers is unaffected.
 func (c *Cache[K, V]) Add(key K, val V) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

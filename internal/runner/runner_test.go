@@ -97,7 +97,7 @@ func TestCacheSingleflight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			v, err := c.Do("k", func() (int, error) {
+			v, err := c.DoContext(context.Background(), "k", func() (int, error) {
 				executions.Add(1)
 				time.Sleep(2 * time.Millisecond) // widen the race window
 				return 42, nil
@@ -121,7 +121,7 @@ func TestCacheDistinctKeys(t *testing.T) {
 	var c Cache[int, int]
 	p := New(8)
 	if err := p.Map(256, func(i int) error {
-		v, err := c.Do(i%16, func() (int, error) { return i % 16, nil })
+		v, err := c.DoContext(context.Background(), i%16, func() (int, error) { return i % 16, nil })
 		if err != nil || v != i%16 {
 			return fmt.Errorf("key %d: got %d, %v", i%16, v, err)
 		}
@@ -141,10 +141,10 @@ func TestCacheMemoizesErrors(t *testing.T) {
 		executions.Add(1)
 		return 0, errors.New("boom")
 	}
-	if _, err := c.Do("k", boom); err == nil {
+	if _, err := c.DoContext(context.Background(), "k", boom); err == nil {
 		t.Fatal("error swallowed")
 	}
-	_, err := c.Do("k", boom)
+	_, err := c.DoContext(context.Background(), "k", boom)
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("memoized err = %v", err)
 	}
@@ -187,34 +187,15 @@ func TestGateBoundsConcurrency(t *testing.T) {
 	}
 }
 
-func TestCacheForget(t *testing.T) {
-	var c Cache[string, int]
-	calls := 0
-	compute := func() (int, error) { calls++; return calls, nil }
-	if v, _ := c.Do("k", compute); v != 1 {
-		t.Fatalf("first Do = %d", v)
-	}
-	if v, _ := c.Do("k", compute); v != 1 {
-		t.Fatalf("cached Do = %d, want memoized 1", v)
-	}
-	c.Forget("k")
-	if v, _ := c.Do("k", compute); v != 2 {
-		t.Fatalf("post-Forget Do = %d, want recompute 2", v)
-	}
-	if n := c.Len(); n != 1 {
-		t.Fatalf("Len = %d", n)
-	}
-	c.Forget("absent") // forgetting a missing key is a no-op
-}
-
 // TestCacheCapEvictsOldest: a bounded cache holds at most Cap keys,
 // evicting in insertion order; an evicted key recomputes, and records
-// of forgotten entries never evict a live one.
+// of cancelled (forgotten) entries are compacted away without ever
+// evicting a live key.
 func TestCacheCapEvictsOldest(t *testing.T) {
 	c := Cache[int, int]{Cap: 3}
 	calls := 0
 	get := func(k int) int {
-		v, _ := c.Do(k, func() (int, error) { calls++; return k * 10, nil })
+		v, _ := c.DoContext(context.Background(), k, func() (int, error) { calls++; return k * 10, nil })
 		return v
 	}
 	for k := 0; k < 5; k++ {
@@ -231,16 +212,37 @@ func TestCacheCapEvictsOldest(t *testing.T) {
 	if v := get(0); v != 0 || calls != 6 {
 		t.Fatalf("evicted key: value %d after %d computes, want 0 after 6", v, calls)
 	}
-	// Churn Forget/recompute on one key: the oldest live key survives.
+	// Churn cancelled computations on a fresh key. Each installs an
+	// in-flight entry (the first evicts the oldest live key, 3) that is
+	// forgotten on cancellation, leaving a stale insertion record.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
 	for i := 0; i < 20; i++ {
-		c.Forget(0)
-		get(0)
+		_, err := c.DoContext(cancelled, 9, func() (int, error) { return 0, cancelled.Err() })
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled compute: err = %v", err)
+		}
 	}
-	if _, ok := c.Peek(3); !ok {
-		t.Error("forgotten-entry records evicted a live key")
+	if n := len(c.order); n > 2*c.Cap {
+		t.Errorf("%d insertion records after churn, want compaction to at most %d", n, 2*c.Cap)
 	}
-	if n := c.Len(); n != 3 {
-		t.Errorf("Len = %d after churn, want 3", n)
+	if n := c.Len(); n != 2 {
+		t.Errorf("Len = %d after churn, want 2", n)
+	}
+	// Refilling to the cap keeps every live key; one more evicts the
+	// oldest live key, never a stale record's.
+	get(5)
+	for _, k := range []int{4, 0, 5} {
+		if _, ok := c.Peek(k); !ok {
+			t.Errorf("stale records evicted live key %d", k)
+		}
+	}
+	get(6)
+	if _, ok := c.Peek(4); ok {
+		t.Error("oldest live key 4 survived past the cap")
+	}
+	if _, ok := c.Peek(0); !ok {
+		t.Error("key 0 evicted before the older key 4")
 	}
 }
 

@@ -338,10 +338,11 @@ func TestCompiledSweepSynthesizesOnce(t *testing.T) {
 
 // TestTraceCacheEviction: a session running more schedules than the
 // trace cache holds evicts the oldest traces, and a point whose trace
-// was evicted resynthesizes it with an unchanged Report.
+// was evicted resynthesizes it with an unchanged Report. The second
+// pass carries an observer, so it skips the memo and simulates again.
 func TestTraceCacheEviction(t *testing.T) {
 	c := testCompiled(t)
-	s := New(WithoutMemo())
+	s := New()
 	spec := func(i int) RunSpec {
 		return Compiled(c, []vcomp.Invocation{{Unit: 0, N: int64(100 + i)}})
 	}
@@ -358,7 +359,7 @@ func TestTraceCacheEviction(t *testing.T) {
 	}
 	misses := s.traces.Misses()
 	for i := range first {
-		rep, err := s.Run(context.Background(), spec(i))
+		rep, err := s.Run(context.Background(), spec(i).With(WithObserver(&core.SwitchCounter{})))
 		if err != nil {
 			t.Fatal(err)
 		}

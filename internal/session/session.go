@@ -31,15 +31,17 @@
 //
 // # Persistence
 //
-// SetStore (or WithStore) attaches an on-disk result store as a second
-// cache tier below the in-memory memo: a run whose spec has a stable
-// content identity (catalog workloads, named policies — see
-// RunSpec.persistKey) is looked up on disk before simulating and
-// written through after. The store obeys the same cancellation rule —
-// a cancelled run is never persisted — and adds cross-process
-// single-flight, so any number of processes sharing one store
-// directory simulate each distinct point once between them. Unlike the
-// memo tier, the store also serves observer-carrying specs: a
+// SetStore (or WithStore) attaches a persistent result store as a
+// second cache tier below the in-memory memo. Every run takes one path
+// through the tiers: memo, then the store, then simulation. A memo
+// miss whose spec has a stable content identity (catalog workloads,
+// named policies — see RunSpec.persistKey) goes through the store's
+// Do: a stored record answers, or the run claims the point's
+// cross-process lock, simulates and writes through. The store obeys
+// the same cancellation rule — a cancelled run is never persisted —
+// so any number of processes sharing one store directory simulate each
+// distinct point once between them. Observer-carrying specs skip the
+// memo lookup but take the same store path, claim included: a
 // persisted result returns immediately and the observers see no
 // events, because no simulation runs (RunTracked reports which tier
 // answered).
@@ -49,6 +51,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,7 +70,6 @@ import (
 type Session struct {
 	jobs atomic.Int64 // concurrency bound, mirrored into gate
 	sims atomic.Int64 // machine runs actually executed
-	memo bool
 
 	// st boxes the optional persistent second cache tier (nil box or nil
 	// backend = none); storeHits counts runs this session served from it,
@@ -126,15 +128,6 @@ func WithJobs(n int) SessionOption {
 	return func(s *Session) { s.SetJobs(n) }
 }
 
-// WithoutMemo disables the run cache: every Run simulates, and repeated
-// identical specs return fresh Reports. The legacy Run* entry points
-// use a memo-less default session to keep their original semantics.
-// An attached store is unaffected — persistence is orthogonal to the
-// in-memory memo tier.
-func WithoutMemo() SessionOption {
-	return func(s *Session) { s.memo = false }
-}
-
 // backendBox wraps a store.Backend for atomic swapping.
 type backendBox struct{ b store.Backend }
 
@@ -144,10 +137,10 @@ func WithStore(st store.Backend) SessionOption {
 	return func(s *Session) { s.SetStore(st) }
 }
 
-// New creates a session. Memoization is on by default; the simulation
-// concurrency bound defaults to runtime.NumCPU().
+// New creates a session. The simulation concurrency bound defaults to
+// runtime.NumCPU().
 func New(opts ...SessionOption) *Session {
-	s := &Session{gate: runner.NewGate(0), memo: true}
+	s := &Session{gate: runner.NewGate(0)}
 	s.traces.Cap = traceCacheCap
 	s.SetJobs(0)
 	for _, opt := range opts {
@@ -337,68 +330,53 @@ func (s *Session) RunTracked(ctx context.Context, spec RunSpec) (*stats.Report, 
 	return s.resolve(ctx, spec, p)
 }
 
-// resolve answers a prepared spec through the cache tiers — memo, then
-// store, then simulation with write-through. RunTracked and every
-// RunAllTracked point share it.
+// resolve answers a prepared spec through the cache tiers. RunTracked
+// and every RunAllTracked point share it:
+//
+//  1. Memo: join the singleflight on the memo key. Observer runs skip
+//     the lookup, because a hit would skip their events.
+//  2. Fill: on a miss, fill asks the store (claim, simulate,
+//     write-through) or simulates directly.
+//  3. Publish: the singleflight installs the result; an observer run
+//     adds it, so later plain requests hit.
 func (s *Session) resolve(ctx context.Context, spec RunSpec, p plan) (*stats.Report, Source, error) {
-	st := s.backend()
-	if !s.memo || !p.memoizable {
-		// Memo-less path (session-wide or observer-carrying spec): the
-		// store still applies when the spec is persistable. A store hit
-		// skips the simulation, so attached observers see no events.
-		key, persistable := "", false
-		if st != nil {
-			key, persistable = spec.persistKey(&p)
-		}
-		if persistable {
-			if rep, tier := st.Get(key); tier.Hit() {
-				if s.memo {
-					// Promote to the memo tier: repeated requests for a
-					// hot point should not re-read and re-verify the
-					// disk record every time.
-					s.runs.Add(spec.memoKey(&p, s.idOf), rep)
-				}
-				return rep, s.storeSource(tier), nil
-			}
-		}
-		rep, err := s.simulate(ctx, spec, p)
+	key := spec.memoKey(&p, s.idOf)
+	if !p.memoizable {
+		rep, src, err := s.fill(ctx, spec, p)
 		if err == nil {
-			if persistable {
-				// Write-through is best-effort: a full disk degrades
-				// the store to a miss next time, never the run itself.
-				_ = st.Put(key, rep)
-			}
-			if s.memo && !p.memoizable {
-				// Reports are observation-invariant, so an observer
-				// run's result is exactly what a plain Run of the same
-				// spec would memoize — install it (the memo key ignores
-				// observers) and let future plain or Cached requests
-				// hit. Observer-carrying requests still always reach
-				// this branch and simulate.
-				s.runs.Add(spec.memoKey(&p, s.idOf), rep)
-			}
+			// Reports are observation-invariant (the memo key ignores
+			// observers), so this is exactly what a plain Run of the
+			// spec would memoize.
+			s.runs.Add(key, rep)
 		}
-		return rep, SourceSim, err
+		return rep, src, err
 	}
-	src := SourceMemo // overwritten iff this caller computes
-	rep, err := s.runs.DoContext(ctx, spec.memoKey(&p, s.idOf), func() (*stats.Report, error) {
-		if st != nil {
-			if key, ok := spec.persistKey(&p); ok {
-				rep, tier, err := st.Do(ctx, key, func() (*stats.Report, error) {
-					return s.simulate(ctx, spec, p)
-				})
-				if tier.Hit() {
-					src = s.storeSource(tier)
-				} else if err == nil {
-					src = SourceSim
-				}
-				return rep, err
-			}
-		}
-		src = SourceSim
-		return s.simulate(ctx, spec, p)
+	src := SourceMemo // overwritten iff this caller fills
+	rep, err := s.runs.DoContext(ctx, key, func() (rep *stats.Report, err error) {
+		rep, src, err = s.fill(ctx, spec, p)
+		return rep, err
 	})
 	return rep, src, err
+}
+
+// fill computes a memo miss. A persistable spec goes through the
+// store's Do, which serves a stored record or claims the point's
+// cross-process lock, simulates and writes through; a hit there skips
+// the simulation, so observers see no events. Other specs simulate.
+func (s *Session) fill(ctx context.Context, spec RunSpec, p plan) (*stats.Report, Source, error) {
+	if st := s.backend(); st != nil {
+		if key, ok := spec.persistKey(&p); ok {
+			rep, tier, err := st.Do(ctx, key, func() (*stats.Report, error) {
+				return s.simulate(ctx, spec, p)
+			})
+			if tier.Hit() {
+				return rep, s.storeSource(tier), err
+			}
+			return rep, SourceSim, err
+		}
+	}
+	rep, err := s.simulate(ctx, spec, p)
+	return rep, SourceSim, err
 }
 
 // Cached returns the spec's Report if some cache tier already holds it
@@ -412,19 +390,16 @@ func (s *Session) Cached(spec RunSpec) (*stats.Report, Source, bool) {
 	if err != nil {
 		return nil, SourceSim, false
 	}
-	if s.memo {
-		if rep, ok := s.runs.Peek(spec.memoKey(&p, s.idOf)); ok {
-			return rep, SourceMemo, true
-		}
+	key := spec.memoKey(&p, s.idOf)
+	if rep, ok := s.runs.Peek(key); ok {
+		return rep, SourceMemo, true
 	}
 	if st := s.backend(); st != nil {
-		if key, ok := spec.persistKey(&p); ok {
-			if rep, tier := st.Get(key); tier.Hit() {
-				if s.memo {
-					// Promote to the memo tier (see RunTracked): the
-					// next lookup answers from memory.
-					s.runs.Add(spec.memoKey(&p, s.idOf), rep)
-				}
+		if pkey, ok := spec.persistKey(&p); ok {
+			if rep, tier := st.Get(pkey); tier.Hit() {
+				// Promote to the memo tier: the next lookup answers
+				// from memory.
+				s.runs.Add(key, rep)
 				return rep, s.storeSource(tier), true
 			}
 		}
@@ -496,21 +471,29 @@ func (s *Session) simulate(ctx context.Context, spec RunSpec, p plan) (rep *stat
 		}
 		start := time.Now()
 		defer s.paceSlot(ctx, start)
+		cfg := p.cfg
+		var spans *core.SpanRecorder
+		if p.spans {
+			spans = &core.SpanRecorder{}
+			cfg.Observers = append(slices.Clip(cfg.Observers), spans)
+		}
 		var m *core.Machine
-		if m, err = core.New(p.cfg); err != nil {
+		if m, err = core.New(cfg); err != nil {
 			return
 		}
-		if err = s.attachThreads(ctx, m, spec, p.cfg); err != nil {
+		if err = s.attachThreads(ctx, m, spec, cfg); err != nil {
 			return
 		}
 		s.sims.Add(1)
-		rep, err = m.RunContext(ctx, p.stop)
+		if rep, err = m.RunContext(ctx, p.stop); err == nil && spans != nil {
+			rep.Spans = spans.Spans
+		}
 	})
 	return rep, err
 }
 
 // attachThreads feeds the machine's contexts according to the spec's
-// mode, reproducing the Run* methodologies exactly.
+// mode: the solo, grouped, job-queue and compiled-kernel methodologies.
 func (s *Session) attachThreads(ctx context.Context, m *core.Machine, spec RunSpec, cfg core.Config) error {
 	switch spec.mode {
 	case ModeSolo:

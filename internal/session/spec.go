@@ -119,6 +119,7 @@ type build struct {
 	policyInst sched.Policy
 	stop       core.Stop
 	observers  []core.Observer
+	spans      bool
 	errs       []error
 }
 
@@ -134,9 +135,8 @@ func (b *build) errf(format string, args ...any) {
 
 // WithConfig replaces the base configuration wholesale. Options given
 // after it still apply on top. Most callers should prefer the granular
-// options; WithConfig exists for the legacy Run* entry points and for
-// knobs without a dedicated option (DisableFastForward, custom
-// latency tables).
+// options; WithConfig exists for knobs without a dedicated option
+// (DisableFastForward, custom latency tables).
 func WithConfig(cfg core.Config) Option {
 	return func(b *build) {
 		b.cfg = cfg
@@ -347,7 +347,7 @@ func WithMemBanks(banks, busy int) Option {
 // Report.Spans (a built-in SpanRecorder observer; unlike WithObserver
 // the captured spans are part of the memoized Report).
 func WithSpans() Option {
-	return func(b *build) { b.cfg.RecordSpans = true }
+	return func(b *build) { b.spans = true }
 }
 
 // WithObserver attaches streaming run observers (progress, thread
@@ -410,6 +410,8 @@ type plan struct {
 	// memoizable is false when the run carries observers — observation
 	// is a side effect a cache hit would skip.
 	memoizable bool
+	// spans attaches a SpanRecorder whose spans land in Report.Spans.
+	spans bool
 	// Policy identity for the memo key (see build).
 	policyName string
 	policyInst sched.Policy
@@ -484,14 +486,13 @@ func (s RunSpec) prepare() (plan, error) {
 		cfg:        b.cfg,
 		stop:       b.stop,
 		memoizable: len(b.observers) == 0,
+		spans:      b.spans,
 		policyName: b.policyName,
 		policyInst: b.policyInst,
 	}, nil
 }
 
-// memoKey canonically encodes everything a run's Report depends on. It
-// is computed lazily — only when a memoizing session actually consults
-// the cache — so the memo-less fast path pays nothing for it.
+// memoKey canonically encodes everything a run's Report depends on.
 // Workloads, compiled kernels and custom policy instances are
 // identified by the session's identity registry (idOf), which retains
 // the artifact, so a recycled allocation can never collide with a
@@ -684,7 +685,7 @@ func appendMachineKey(b []byte, p *plan) []byte {
 	b = appendNum(b, int64(mem.Banks))
 	b = appendNum(b, int64(mem.BankBusy))
 	b = append(b, "|flags="...)
-	for _, f := range [...]bool{p.cfg.DualScalar, p.cfg.RecordSpans, p.cfg.DisableFastForward, p.stop.Thread0Complete} {
+	for _, f := range [...]bool{p.cfg.DualScalar, p.spans, p.cfg.DisableFastForward, p.stop.Thread0Complete} {
 		if f {
 			b = append(b, 't')
 		} else {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,7 +17,7 @@ import (
 	"mtvec/internal/workload"
 )
 
-func openStore(t *testing.T) *store.Store {
+func openStore(t *testing.T) *store.Dir {
 	t.Helper()
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -152,6 +153,99 @@ func TestStoreKeyStability(t *testing.T) {
 	}
 	if pkey(Solo(w)) == pkey(Solo(wscale)) {
 		t.Fatal("different scales share a persist key")
+	}
+}
+
+// TestPersistKeyPinned pins the literal persist keys of a plain and a
+// span-capturing solo run. Stored records are addressed by these bytes,
+// so a refactor that changes them silently retires every record on
+// disk; a deliberate change must bump store.Schema instead.
+func TestPersistKeyPinned(t *testing.T) {
+	w := testWorkload(t)
+	const machine = "|policy=default|ctx=1,|rf=8,128,2,2,1,|fu=1,1,8,|lat=0,1,1,1,5,34,34,0,1,;0,2,1,1,2,9,9,0,1,;0,4,4,4,7,20,20,0,0,;1,2,2,|mem=50,4,1,0,0,0,0,"
+	for _, tc := range []struct {
+		name string
+		spec RunSpec
+		want string
+	}{
+		{"solo", Solo(w), "mode=1,|ws=flo52@5e-05+fpab79db7047624155," + machine + "|flags=ffff|iw=1,|stop=0,0,"},
+		{"spans", Solo(w, WithSpans()), "mode=1,|ws=flo52@5e-05+fpab79db7047624155," + machine + "|flags=ftff|iw=1,|stop=0,0,"},
+	} {
+		if got, ok := New().PersistKey(tc.spec); !ok || got != tc.want {
+			t.Errorf("%s: persist key\n got %q (ok=%v)\nwant %q", tc.name, got, ok, tc.want)
+		}
+	}
+}
+
+// TestObserverRunTakesClaim: an observer-carrying run goes through the
+// store's cross-process claim like any other run. While another session
+// holds the point's lock, the observer run waits instead of simulating;
+// once the lock is released, it simulates.
+func TestObserverRunTakesClaim(t *testing.T) {
+	w := testWorkload(t)
+	st := openStore(t)
+	a, b := New(WithStore(st)), New(WithStore(st))
+	spec := Solo(w, WithObserver(&core.SwitchCounter{}))
+	key, ok := a.PersistKey(spec)
+	if !ok {
+		t.Fatal("spec unexpectedly unpersistable")
+	}
+	release := st.TryLock(key)
+	if release == nil {
+		t.Fatal("could not claim the point")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if _, _, err := b.RunTracked(ctx, spec); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("run under a held claim: err = %v, want context.DeadlineExceeded", err)
+	}
+	if n := b.Simulations(); n != 0 {
+		t.Fatalf("run under a held claim simulated %d times", n)
+	}
+
+	release()
+	if _, src, err := b.RunTracked(context.Background(), spec); err != nil || src != SourceSim {
+		t.Fatalf("run after release: src=%v err=%v, want sim", src, err)
+	}
+}
+
+// TestObserverAndPlainRunsShareOneSimulation: concurrent observer and
+// plain requests for one persistable point, in one session over one
+// store, simulate it once between them — the observer runs wait on the
+// same claim the plain runs do, then read the record it wrote.
+func TestObserverAndPlainRunsShareOneSimulation(t *testing.T) {
+	w := testWorkload(t)
+	s := New(WithStore(openStore(t)))
+	plain := Solo(w, WithMemLatency(70))
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	reps := make([]*stats.Report, 8)
+	for i := range reps {
+		spec := plain
+		if i%2 == 0 {
+			spec = plain.With(WithObserver(&core.SwitchCounter{}))
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			rep, err := s.Run(context.Background(), spec)
+			if err != nil {
+				t.Error(err)
+			}
+			reps[i] = rep
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	if n := s.Simulations(); n != 1 {
+		t.Fatalf("simulations = %d, want 1", n)
+	}
+	for i, rep := range reps[1:] {
+		if reportJSON(t, rep) != reportJSON(t, reps[0]) {
+			t.Errorf("request %d: report differs", i+1)
+		}
 	}
 }
 

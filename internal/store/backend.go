@@ -148,21 +148,6 @@ func (t *Tiered) Do(ctx context.Context, key string, compute func() (*stats.Repo
 	return rep, TierMiss, nil
 }
 
-// TryLock delegates to the local tier's non-blocking per-key lock (see
-// Dir.TryLock); a diskless composite cannot lock and returns nil.
-func (t *Tiered) TryLock(key string) (release func()) {
-	if t.local == nil {
-		return nil
-	}
-	return t.local.TryLock(key)
-}
-
-// Compile-time checks: the lockable backends expose TryLock.
-var (
-	_ TryLocker = (*Dir)(nil)
-	_ TryLocker = (*Tiered)(nil)
-)
-
 // Stats aggregates the composite's children: local counters plus every
 // peer's, with PeerHits carrying the peers' combined hit count.
 func (t *Tiered) Stats() Stats {

@@ -96,12 +96,6 @@ type Dir struct {
 	corrupt atomic.Int64
 }
 
-// Store is the historical name of the on-disk tier.
-//
-// Deprecated: use Dir (the Backend interface has other implementations
-// now). The alias is permanent; existing code keeps compiling.
-type Store = Dir
-
 // Stats is a snapshot of a backend's counters (process-local, not
 // persisted).
 type Stats struct {
@@ -359,11 +353,9 @@ func (s *Dir) Do(ctx context.Context, key string, compute func() (*stats.Report,
 	if err != nil {
 		return nil, TierMiss, err
 	}
-	if perr := s.Put(key, rep); perr != nil {
-		// A failed write degrades the store to a cache miss next time;
-		// the computed result is still good.
-		return rep, TierMiss, nil
-	}
+	// A failed write degrades the store to a cache miss next time; the
+	// computed result is still good.
+	_ = s.Put(key, rep)
 	return rep, TierMiss, nil
 }
 
@@ -386,42 +378,19 @@ var lockSeq atomic.Int64
 // acquisition's unique token — a holder displaced for exceeding the
 // staleness bound will not remove its usurper's lock.
 func (s *Dir) lock(ctx context.Context, key string) (func(), error) {
-	path := s.path(key) + ".lock"
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+	path, err := s.lockPath(key)
+	if err != nil {
+		return nil, err
 	}
 	for {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-		if err == nil {
-			token := fmt.Sprintf("%d.%d %s\n", os.Getpid(), lockSeq.Add(1), time.Now().UTC().Format(time.RFC3339Nano))
-			_, werr := f.WriteString(token)
-			f.Close()
-			if werr != nil {
-				os.Remove(path)
-				return nil, fmt.Errorf("store: lock %s: %w", path, werr)
-			}
-			return func() {
-				if data, rerr := os.ReadFile(path); rerr == nil && string(data) == token {
-					os.Remove(path)
-				}
-			}, nil
-		}
-		if !os.IsExist(err) {
-			return nil, fmt.Errorf("store: lock %s: %w", path, err)
+		if release, err := claim(path); release != nil || err != nil {
+			return release, err
 		}
 		// Someone else is computing. Wait for the lock to clear, stealing
 		// it if its holder looks dead.
 		info, serr := os.Stat(path)
 		if serr == nil && time.Since(info.ModTime()) > s.lockStale {
-			// Steal atomically: rename sideways, then delete the moved
-			// file. Concurrent stealers race on the rename and exactly
-			// one wins; a lock re-acquired between our stat and rename is
-			// younger than the staleness bound only if the filesystem
-			// clock jumped, and even then the loser merely recomputes.
-			stale := fmt.Sprintf("%s.stale.%d.%d", path, os.Getpid(), lockSeq.Add(1))
-			if os.Rename(path, stale) == nil {
-				os.Remove(stale)
-			}
+			steal(path)
 			continue
 		}
 		if serr != nil && os.IsNotExist(serr) {
@@ -450,46 +419,76 @@ type TryLocker interface {
 	TryLock(key string) (release func())
 }
 
+var _ TryLocker = (*Dir)(nil)
+
 // TryLock claims key's lock file without blocking: one creation
 // attempt, plus one steal-and-retry when the existing lock is older
 // than the staleness bound (its holder crashed — without this, an
 // abandoned lock would block coordination for the key forever).
 // Returns nil when the lock is live elsewhere.
 func (s *Dir) TryLock(key string) (release func()) {
-	path := s.path(key) + ".lock"
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	path, err := s.lockPath(key)
+	if err != nil {
 		return nil
 	}
 	for attempt := 0; attempt < 2; attempt++ {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-		if err == nil {
-			token := fmt.Sprintf("%d.%d %s\n", os.Getpid(), lockSeq.Add(1), time.Now().UTC().Format(time.RFC3339Nano))
-			_, werr := f.WriteString(token)
-			f.Close()
-			if werr != nil {
-				os.Remove(path)
-				return nil
-			}
-			return func() {
-				if data, rerr := os.ReadFile(path); rerr == nil && string(data) == token {
-					os.Remove(path)
-				}
-			}
-		}
-		if !os.IsExist(err) {
-			return nil
+		if release, err := claim(path); release != nil || err != nil {
+			return release
 		}
 		info, serr := os.Stat(path)
 		if serr != nil || time.Since(info.ModTime()) <= s.lockStale {
 			return nil // live lock (or vanished: holder just released)
 		}
-		// Stale: steal by atomic rename, then retry the creation once.
-		stale := fmt.Sprintf("%s.stale.%d.%d", path, os.Getpid(), lockSeq.Add(1))
-		if os.Rename(path, stale) == nil {
-			os.Remove(stale)
-		}
+		steal(path) // then retry the creation once
 	}
 	return nil
+}
+
+// lockPath returns key's lock-file path, creating its shard directory.
+func (s *Dir) lockPath(key string) (string, error) {
+	path := s.path(key) + ".lock"
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return "", fmt.Errorf("store: %w", err)
+	}
+	return path, nil
+}
+
+// claim makes one attempt to create the lock file at path, stamped with
+// a token unique to this acquisition. It returns the token-checked
+// release function (see lock) on success, (nil, nil) when the lock is
+// already held, or the I/O error.
+func claim(path string) (release func(), err error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	if os.IsExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("store: lock %s: %w", path, err)
+	}
+	token := fmt.Sprintf("%d.%d %s\n", os.Getpid(), lockSeq.Add(1), time.Now().UTC().Format(time.RFC3339Nano))
+	_, werr := f.WriteString(token)
+	f.Close()
+	if werr != nil {
+		os.Remove(path)
+		return nil, fmt.Errorf("store: lock %s: %w", path, werr)
+	}
+	return func() {
+		if data, rerr := os.ReadFile(path); rerr == nil && string(data) == token {
+			os.Remove(path)
+		}
+	}, nil
+}
+
+// steal removes an abandoned lock atomically: rename sideways, then
+// delete the moved file. Concurrent stealers race on the rename and
+// exactly one wins; a lock re-acquired between the caller's stat and
+// the rename is younger than the staleness bound only if the
+// filesystem clock jumped, and even then the loser merely recomputes.
+func steal(path string) {
+	stale := fmt.Sprintf("%s.stale.%d.%d", path, os.Getpid(), lockSeq.Add(1))
+	if os.Rename(path, stale) == nil {
+		os.Remove(stale)
+	}
 }
 
 // IsContextErr mirrors the engine's cancellation predicate for callers

@@ -179,7 +179,7 @@ func TestDoComputesOnceAcrossStores(t *testing.T) {
 	// Two Stores on one directory model two processes: under Do only one
 	// computes per key, the rest serve the winner's record.
 	dir := t.TempDir()
-	var stores []*Store
+	var stores []*Dir
 	for i := 0; i < 2; i++ {
 		s, err := Open(dir)
 		if err != nil {
@@ -376,26 +376,6 @@ func TestTryLockStealsStale(t *testing.T) {
 	release() // second call: token no longer matches anything of ours
 	if data, err := os.ReadFile(lockPath); err != nil || string(data) != "alive\n" {
 		t.Fatalf("foreign lock disturbed: %q, %v", data, err)
-	}
-}
-
-func TestTieredTryLock(t *testing.T) {
-	local, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiered := NewTiered(local)
-	release := tiered.TryLock("k")
-	if release == nil {
-		t.Fatal("tiered TryLock with a local tier failed")
-	}
-	if local.TryLock("k") != nil {
-		t.Fatal("tiered lock did not reach the local tier")
-	}
-	release()
-
-	if NewTiered(nil).TryLock("k") != nil {
-		t.Fatal("diskless tiered composite claimed a lock")
 	}
 }
 

@@ -2,6 +2,7 @@ package mtvec_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -19,9 +20,14 @@ func build(t *testing.T, short string) *mtvec.Workload {
 	return w
 }
 
+// run simulates spec on a fresh session.
+func run(spec mtvec.RunSpec) (*mtvec.Report, error) {
+	return mtvec.NewSession().Run(context.Background(), spec)
+}
+
 func TestRunSolo(t *testing.T) {
 	w := build(t, "tf")
-	rep, err := mtvec.RunSolo(w, mtvec.DefaultConfig())
+	rep, err := run(mtvec.Solo(w))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,13 +41,11 @@ func TestRunSolo(t *testing.T) {
 
 func TestRunGroupSpeedsUp(t *testing.T) {
 	tf, sw := build(t, "tf"), build(t, "sw")
-	solo, err := mtvec.RunSolo(tf, mtvec.DefaultConfig())
+	solo, err := run(mtvec.Solo(tf))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := mtvec.DefaultConfig()
-	cfg.Contexts = 2
-	rep, err := mtvec.RunGroup(tf, []*mtvec.Workload{sw}, cfg)
+	rep, err := run(mtvec.Group(tf, []*mtvec.Workload{sw}, mtvec.WithContexts(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,17 +58,14 @@ func TestRunGroupSpeedsUp(t *testing.T) {
 		t.Fatal("companion idle")
 	}
 	// Mismatched contexts are rejected.
-	if _, err := mtvec.RunGroup(tf, nil, cfg); err == nil {
+	if _, err := run(mtvec.Group(tf, nil, mtvec.WithContexts(2))); err == nil {
 		t.Fatal("bad context count accepted")
 	}
 }
 
 func TestRunQueue(t *testing.T) {
 	ws := []*mtvec.Workload{build(t, "tf"), build(t, "sd")}
-	cfg := mtvec.DefaultConfig()
-	cfg.Contexts = 2
-	cfg.RecordSpans = true
-	rep, err := mtvec.RunQueue(ws, cfg)
+	rep, err := run(mtvec.Queue(ws, mtvec.WithContexts(2), mtvec.WithSpans()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestCustomKernelEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := mtvec.RunCompiled(c, []mtvec.Invocation{{Unit: 0, N: 4096}}, mtvec.DefaultConfig())
+	rep, err := run(mtvec.CompiledRun(c, []mtvec.Invocation{{Unit: 0, N: 4096}}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package mtvec
 
 import (
 	"net/http"
-	"sync"
 
 	"mtvec/internal/core"
 	"mtvec/internal/session"
@@ -65,7 +64,7 @@ type SwitchCounter = core.SwitchCounter
 // recomputed, never trusted, and cross-process single-flight (lock
 // files) lets any number of processes share one store directory while
 // simulating each distinct point once. See docs/API.md.
-type Store = store.Store
+type Store = store.Dir
 
 // StoreBackend is the pluggable interface behind a Session's persistent
 // tier. Implementations: the on-disk Store/store.Dir, a remote worker's
@@ -119,17 +118,14 @@ const (
 	RunFromPeer  = session.SourcePeer
 )
 
-// NewSession creates a run session. Memoization is on by default
-// (disable with WithoutMemo); the simulation concurrency bound defaults
-// to runtime.NumCPU() (change with WithJobs or Session.SetJobs).
+// NewSession creates a run session. Memoization is always on; the
+// simulation concurrency bound defaults to runtime.NumCPU() (change
+// with WithJobs or Session.SetJobs).
 func NewSession(opts ...SessionOption) *Session { return session.New(opts...) }
 
 // WithJobs bounds a new session's concurrent simulations; n <= 0
 // selects runtime.NumCPU().
 func WithJobs(n int) SessionOption { return session.WithJobs(n) }
-
-// WithoutMemo disables a new session's run cache: every Run simulates.
-func WithoutMemo() SessionOption { return session.WithoutMemo() }
 
 // RunResult is one Session.RunAllTracked point: the Report (nil on
 // error), the cache tier that answered, the point's wall time inside
@@ -226,7 +222,8 @@ func WithMemBanks(banks, busy int) RunOption { return session.WithMemBanks(banks
 func WithSpans() RunOption { return session.WithSpans() }
 
 // WithObserver attaches streaming observers; a spec carrying observers
-// is never served from the memo cache.
+// is never served from the memo cache (a persistent store may still
+// answer it, in which case no events fire).
 func WithObserver(obs ...Observer) RunOption { return session.WithObserver(obs...) }
 
 // WithProgressStride sets the simulated-cycle interval between
@@ -239,17 +236,6 @@ func WithMaxCycles(n int64) RunOption { return session.WithMaxCycles(n) }
 // WithMaxThread0Insts stops once thread 0 has dispatched n dynamic
 // instructions (the Section 4.1 partial reference runs; 0 disables).
 func WithMaxThread0Insts(n int64) RunOption { return session.WithMaxThread0Insts(n) }
-
-// defaultSession backs the deprecated Run* wrappers. It is memo-less so
-// the wrappers keep their original semantics exactly: every call
-// simulates and returns a fresh Report.
-var defaultSession = sync.OnceValue(func() *Session {
-	return session.New(session.WithoutMemo())
-})
-
-// DefaultSession returns the process-wide session behind the deprecated
-// Run* wrappers: memo-less, concurrency-bounded at runtime.NumCPU().
-func DefaultSession() *Session { return defaultSession() }
 
 // IsContextErr reports whether err came from a cancelled or expired
 // context — the one error class Session.Run never memoizes. Useful for

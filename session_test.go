@@ -18,83 +18,51 @@ func reportsEqual(t *testing.T, name string, a, b *mtvec.Report) {
 	}
 }
 
-// TestSessionReproducesRunWrappers is the acceptance check of the API
-// redesign: Session.Run must reproduce byte-identical Reports for the
-// four legacy entry points, both via WithConfig (the wrappers' own
-// path) and via the granular options.
+// TestSessionReproducesRunWrappers pins the two ways of describing a
+// machine to Session.Run: a wholesale WithConfig (the path the removed
+// Run* wrappers took) and the granular options must give byte-identical
+// Reports for every mode. Each run gets its own fresh session, so no
+// comparison can be answered by a memo hit.
 func TestSessionReproducesRunWrappers(t *testing.T) {
 	tf, sd := build(t, "tf"), build(t, "sd")
-	ctx := context.Background()
-	ses := mtvec.NewSession()
-
-	// Solo.
-	cfg := mtvec.DefaultConfig()
-	old, err := mtvec.RunSolo(tf, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, spec := range []mtvec.RunSpec{
-		mtvec.Solo(tf, mtvec.WithConfig(cfg)),
-		mtvec.Solo(tf),
-	} {
-		rep, err := ses.Run(ctx, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reportsEqual(t, "solo", old, rep)
-	}
-
-	// Group.
+	ws := []*mtvec.Workload{tf, sd}
 	gcfg := mtvec.DefaultConfig()
 	gcfg.Contexts = 2
-	old, err = mtvec.RunGroup(tf, []*mtvec.Workload{sd}, gcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, spec := range []mtvec.RunSpec{
-		mtvec.Group(tf, []*mtvec.Workload{sd}, mtvec.WithConfig(gcfg)),
-		mtvec.Group(tf, []*mtvec.Workload{sd}),
-		mtvec.Group(tf, []*mtvec.Workload{sd}, mtvec.WithContexts(2)),
-	} {
-		rep, err := ses.Run(ctx, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reportsEqual(t, "group", old, rep)
-	}
-
-	// Queue (with spans, exercising the observer-backed capture).
-	qcfg := mtvec.DefaultConfig()
-	qcfg.Contexts = 2
-	qcfg.RecordSpans = true
-	ws := []*mtvec.Workload{tf, sd}
-	old, err = mtvec.RunQueue(ws, qcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, spec := range []mtvec.RunSpec{
-		mtvec.Queue(ws, mtvec.WithConfig(qcfg)),
-		mtvec.Queue(ws, mtvec.WithContexts(2), mtvec.WithSpans()),
-	} {
-		rep, err := ses.Run(ctx, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reportsEqual(t, "queue", old, rep)
-	}
-
-	// Compiled.
 	c := compileDaxpy(t)
 	sched := []mtvec.Invocation{{Unit: 0, N: 4096}}
-	old, err = mtvec.RunCompiled(c, sched, mtvec.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+
+	for _, tc := range []struct {
+		name     string
+		config   mtvec.RunSpec
+		granular []mtvec.RunSpec
+	}{
+		{"solo", mtvec.Solo(tf, mtvec.WithConfig(mtvec.DefaultConfig())), []mtvec.RunSpec{
+			mtvec.Solo(tf),
+		}},
+		{"group", mtvec.Group(tf, []*mtvec.Workload{sd}, mtvec.WithConfig(gcfg)), []mtvec.RunSpec{
+			mtvec.Group(tf, []*mtvec.Workload{sd}),
+			mtvec.Group(tf, []*mtvec.Workload{sd}, mtvec.WithContexts(2)),
+		}},
+		// Spans exercise the observer-backed capture.
+		{"queue", mtvec.Queue(ws, mtvec.WithConfig(gcfg), mtvec.WithSpans()), []mtvec.RunSpec{
+			mtvec.Queue(ws, mtvec.WithContexts(2), mtvec.WithSpans()),
+		}},
+		{"compiled", mtvec.CompiledRun(c, sched, mtvec.WithConfig(mtvec.DefaultConfig())), []mtvec.RunSpec{
+			mtvec.CompiledRun(c, sched),
+		}},
+	} {
+		want, err := run(tc.config)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, spec := range tc.granular {
+			rep, err := run(spec)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			reportsEqual(t, tc.name, want, rep)
+		}
 	}
-	rep, err := ses.Run(ctx, mtvec.CompiledRun(c, sched))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reportsEqual(t, "compiled", old, rep)
 }
 
 func compileDaxpy(t *testing.T) *mtvec.Compiled {
@@ -272,7 +240,7 @@ func TestSessionMemoization(t *testing.T) {
 }
 
 // TestSessionRunAll: batch results arrive in input order and memoize
-// across the batch; a WithoutMemo session simulates every request.
+// across the batch.
 func TestSessionRunAll(t *testing.T) {
 	tf, sd := build(t, "tf"), build(t, "sd")
 	ses := mtvec.NewSession(mtvec.WithJobs(4))
@@ -303,14 +271,6 @@ func TestSessionRunAll(t *testing.T) {
 	}
 	for i := range reps {
 		reportsEqual(t, "jobs=1 vs jobs=4", reps[i], sreps[i])
-	}
-
-	plain := mtvec.NewSession(mtvec.WithoutMemo())
-	if _, err := plain.RunAll(context.Background(), specs[:3]...); err != nil {
-		t.Fatal(err)
-	}
-	if n := plain.Simulations(); n != 3 {
-		t.Fatalf("memo-less session simulations = %d, want 3", n)
 	}
 }
 
