@@ -167,6 +167,20 @@ func benchCases(scale float64, jobs int) ([]benchCase, error) {
 			return rep.Cycles, nil
 		},
 	})
+	// Predecode: materializing tf's dynamic records on a fresh Trace
+	// over the same program and streams, so every iteration pays the
+	// full expansion and its B/op is the record slice.
+	cases = append(cases, benchCase{
+		name: "trace/predecode",
+		fn: func() (int64, error) {
+			src := solo.Trace
+			tr := &mtvec.Trace{Prog: src.Prog, BBs: src.BBs, VLs: src.VLs, Strides: src.Strides, Addrs: src.Addrs, MaxVL: src.MaxVL}
+			if tr.Decoded() == nil {
+				return 0, fmt.Errorf("trace/predecode: %s was not predecoded", solo.Spec.Short)
+			}
+			return 0, nil
+		},
+	})
 	memo := mtvec.NewSession()
 	cases = append(cases,
 		benchCase{

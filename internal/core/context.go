@@ -188,12 +188,12 @@ type hwContext struct {
 	banks  []bankState
 
 	// Instruction supply. head points at the stream's current decoded
-	// instruction — shared immutable predecode entries for cached
-	// replays, a stream-owned buffer otherwise — valid while headValid
+	// instruction, a view in a buffer the stream owns: valid while
+	// headValid (the stream is not advanced until the head dispatches)
 	// and never written by the machine.
 	stream    *prog.Stream
 	next      jobSource
-	head      *prog.DecodedInst
+	head      *prog.InstView
 	headValid bool
 	exhausted bool
 

@@ -219,7 +219,7 @@ func destFree(v *vregState, now Cycle) (bool, Cycle) {
 // for the default shape never trip it; the check exists so a trace built
 // for one register-file organization fails loudly — not silently — on a
 // machine with a smaller one.
-func (m *Machine) checkShape(d *prog.DecodedInst) error {
+func (m *Machine) checkShape(d *prog.InstView) error {
 	if d.Dst.Class == isa.ClassV && int(d.Dst.Reg) >= m.ctxVRegs {
 		return fmt.Errorf("vector register v%d out of range: this context sees %d registers", d.Dst.Reg, m.ctxVRegs)
 	}

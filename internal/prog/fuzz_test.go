@@ -82,12 +82,13 @@ func fuzzSource(data []byte, blocks int) *SliceSource {
 //   - expansion never panics, whatever the trace holds — out-of-range
 //     block indices, exhausted value streams, degenerate VLs and
 //     strides must all surface as Stream errors;
-//   - the predecoded slice replayed through NewDecodedStream delivers a
-//     DynInst sequence bit-identical to a fresh source-driven stream
-//     over the same bytes, with the same terminal error — the
-//     stream.go contract the trace cache leans on;
-//   - every DecodedInst's cached decode fields agree with the ISA
-//     tables for its opcode.
+//   - the predecoded records replayed through NewDecodedStream deliver,
+//     via both Next and NextDec, a DynInst sequence bit-identical to a
+//     fresh source-driven stream over the same bytes, with the same
+//     terminal error — the stream.go contract the trace cache leans on;
+//   - every expanded view's decode fields agree with the ISA tables for
+//     its opcode, and each record's Val is the Stride or SetVal its
+//     instruction carries (zero for every other kind).
 func FuzzDecode(f *testing.F) {
 	// Seeds shaped like the suite's synthesized traces: a VL/VS header
 	// then looped bodies, a sparse block, a mid-trace VL change, plus
@@ -106,23 +107,16 @@ func FuzzDecode(f *testing.F) {
 
 		dec, decErr := DecodeAllVL(p, fuzzSource(data, blocks), int64(len(data)), maxVL)
 
-		// A fresh source-driven stream over the same bytes must deliver
-		// the identical sequence and terminal error.
+		// A fresh source-driven stream over the same bytes is the
+		// reference sequence and terminal error.
 		live := NewStreamVL(p, fuzzSource(data, blocks), maxVL)
+		var want []isa.DynInst
 		var d isa.DynInst
-		for i := 0; ; i++ {
-			if !live.Next(&d) {
-				if i != len(dec) {
-					t.Fatalf("source-driven stream ended at %d, predecode holds %d", i, len(dec))
-				}
-				break
-			}
-			if i >= len(dec) {
-				t.Fatalf("source-driven stream outran the %d predecoded instructions", len(dec))
-			}
-			if d != dec[i].DynInst {
-				t.Fatalf("inst %d: source-driven %+v != predecoded %+v", i, d, dec[i].DynInst)
-			}
+		for live.Next(&d) {
+			want = append(want, d)
+		}
+		if len(want) != len(dec) {
+			t.Fatalf("source-driven stream delivered %d instructions, predecode holds %d", len(want), len(dec))
 		}
 		liveErr := live.Err()
 		if (decErr == nil) != (liveErr == nil) ||
@@ -130,25 +124,49 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("terminal errors diverge: predecode %v, source-driven %v", decErr, liveErr)
 		}
 
-		// Predecoded replay hands back the same sequence again, and the
-		// cached decode fields agree with the ISA tables.
+		// Predecoded replay through Next hands back the same sequence.
+		next := NewDecodedStream(p, dec)
+		for i := range want {
+			if !next.Next(&d) {
+				t.Fatalf("predecoded Next ended early at %d of %d", i, len(want))
+			}
+			if d != want[i] {
+				t.Fatalf("inst %d: predecoded Next %+v != source-driven %+v", i, d, want[i])
+			}
+		}
+		if next.Next(&d) || next.Count() != live.Count() || next.Err() != nil {
+			t.Fatalf("predecoded Next: ran past its records or miscounted (count %d, want %d)", next.Count(), live.Count())
+		}
+
+		// Predecoded replay through NextDec expands the same sequence,
+		// and the expanded decode fields agree with the ISA tables.
 		replay := NewDecodedStream(p, dec)
-		for i := range dec {
+		for i := range want {
 			rd := replay.NextDec()
 			if rd == nil {
 				t.Fatalf("predecoded replay ended early at %d of %d", i, len(dec))
 			}
-			if rd.DynInst != dec[i].DynInst {
-				t.Fatalf("inst %d: replay %+v != predecode %+v", i, rd.DynInst, dec[i].DynInst)
+			if rd.DynInst != want[i] {
+				t.Fatalf("inst %d: replay %+v != source-driven %+v", i, rd.DynInst, want[i])
 			}
-			info := isa.InfoOf(dec[i].Op)
-			if dec[i].Kind != info.Kind || dec[i].FU1OK != info.FU1OK || dec[i].Load != info.Load {
-				t.Fatalf("inst %d (%s): cached decode fields disagree with ISA table", i, dec[i].Op)
+			info := isa.InfoOf(rd.Op)
+			if rd.Kind != info.Kind || rd.FU1OK != info.FU1OK || rd.Load != info.Load {
+				t.Fatalf("inst %d (%s): expanded decode fields disagree with ISA table", i, rd.Op)
 			}
 			var vs [2]uint8
-			if n := dec[i].Inst.VSources(&vs); int(dec[i].NVSrc) != n || vs != dec[i].VSrcs {
-				t.Fatalf("inst %d (%s): cached vector sources %d/%v, want %d/%v",
-					i, dec[i].Op, dec[i].NVSrc, dec[i].VSrcs, n, vs)
+			if n := rd.Inst.VSources(&vs); int(rd.NVSrc) != n || vs != rd.VSrcs {
+				t.Fatalf("inst %d (%s): expanded vector sources %d/%v, want %d/%v",
+					i, rd.Op, rd.NVSrc, rd.VSrcs, n, vs)
+			}
+			var val int64
+			switch info.Kind {
+			case isa.KindVLVS:
+				val = want[i].SetVal
+			case isa.KindVectorMem:
+				val = want[i].Stride
+			}
+			if dec[i].Val != val {
+				t.Fatalf("inst %d (%s): record Val %d, want %d", i, rd.Op, dec[i].Val, val)
 			}
 		}
 		if replay.NextDec() != nil {

@@ -11,6 +11,7 @@ package prog
 
 import (
 	"fmt"
+	"sync"
 
 	"mtvec/internal/isa"
 )
@@ -24,11 +25,35 @@ type BasicBlock struct {
 // Program is a named static program: a list of basic blocks. Control flow
 // between blocks is not encoded statically; the basic-block trace carries
 // the executed block sequence, exactly as Dixie traces did.
+//
+// The PC layout and the static decode table are built once, on first
+// use, and may be read by any number of goroutines; do not change
+// Blocks after a program has been streamed.
 type Program struct {
 	Name   string
 	Blocks []BasicBlock
 
-	pcBase []uint32 // first PC of each block; built lazily
+	layoutOnce sync.Once
+	pcBase     []uint32   // first PC of each block
+	static     []InstView // static half of every PC's view (see DecodedInst)
+}
+
+// layout builds pcBase and the static decode table: one InstView per PC
+// holding the instruction, its PC and its decode, with the dynamic
+// fields zero.
+func (p *Program) layout() {
+	p.layoutOnce.Do(func() {
+		p.pcBase = make([]uint32, len(p.Blocks))
+		p.static = make([]InstView, 0, p.NumInsts())
+		for i, b := range p.Blocks {
+			p.pcBase[i] = uint32(len(p.static))
+			for _, in := range b.Insts {
+				v := InstView{DynInst: isa.DynInst{Inst: in, PC: uint32(len(p.static))}}
+				v.decodeAux()
+				p.static = append(p.static, v)
+			}
+		}
+	})
 }
 
 // Validate checks every instruction in every block.
@@ -63,14 +88,7 @@ func (p *Program) NumInsts() int {
 
 // PCBase returns the PC of the first instruction of block bi.
 func (p *Program) PCBase(bi int) uint32 {
-	if p.pcBase == nil {
-		p.pcBase = make([]uint32, len(p.Blocks))
-		var pc uint32
-		for i, b := range p.Blocks {
-			p.pcBase[i] = pc
-			pc += uint32(len(b.Insts))
-		}
-	}
+	p.layout()
 	return p.pcBase[bi]
 }
 

@@ -17,20 +17,24 @@ import (
 //
 // A Stream has two replay modes: expanding a static program against a
 // TraceSource instruction by instruction (NewStream), or indexing a
-// predecoded dynamic instruction slice (NewDecodedStream) — the hot-path
-// form trace.Trace caches so repeated replays skip the per-instruction
-// decode entirely. Both modes deliver bit-identical DynInst sequences.
+// predecoded record slice (NewDecodedStream) — the hot-path form
+// trace.Trace caches so repeated replays skip the per-instruction
+// expansion. A predecoded replay expands each 24-byte record against the
+// program's static decode table into a stream-owned InstView. Both modes
+// deliver bit-identical DynInst sequences.
 type Stream struct {
 	prog *Program
 	src  TraceSource
 
-	// dec, when non-nil, selects the predecoded replay mode: NextDec
-	// hands out successive entries instead of expanding the program.
-	dec []DecodedInst
-	di  int
+	// dec, when non-nil, selects the predecoded replay mode: Next and
+	// NextDec expand successive records against static instead of
+	// expanding the program.
+	dec    []DecodedInst
+	di     int
+	static []InstView
 
-	// buf backs NextDec in source-driven mode.
-	buf DecodedInst
+	// buf backs NextDec in both modes.
+	buf InstView
 
 	vl    int64 // architectural vector length register
 	vs    int64 // architectural vector stride register (bytes)
@@ -68,14 +72,25 @@ func NewStreamVL(p *Program, src TraceSource, maxVL int64) *Stream {
 	return &Stream{prog: p, src: src, vl: maxVL, maxVL: maxVL, vs: isa.ElemBytes}
 }
 
-// DecodedInst is a dynamic instruction plus its precomputed static
-// decode: the dispatch-relevant opcode properties and the vector source
-// registers. Simulators consume these via Stream.NextDec without
-// recomputing either per dispatch; entries of a predecoded slice are
-// shared and immutable. The struct is deliberately pointer-free so
-// megabytes of predecoded instructions cost the garbage collector
-// nothing to scan.
+// DecodedInst is the dynamic half of one predecoded instruction: what
+// the four trace streams contributed to it. Val is the Stride of a
+// vector memory op or the SetVal of a SetVL/SetVS, and zero otherwise.
+// Everything else about the instruction is fixed per PC and lives once
+// in its program's static decode table, so a predecoded trace costs 24
+// bytes per dynamic instruction. The struct is pointer-free, so
+// predecoded traces cost the garbage collector nothing to scan.
 type DecodedInst struct {
+	PC   uint32
+	VL   uint16
+	Addr uint64
+	Val  int64
+}
+
+// InstView is a dynamic instruction plus its precomputed static decode:
+// the dispatch-relevant opcode properties and the vector source
+// registers. Simulators consume these via Stream.NextDec without
+// recomputing either per dispatch.
+type InstView struct {
 	isa.DynInst
 	Kind  isa.Kind // dispatch classification of Op
 	FU1OK bool     // vector arithmetic may run on FU1
@@ -85,10 +100,10 @@ type DecodedInst struct {
 }
 
 // decodeAux fills the precomputed decode fields from the DynInst. It
-// zeroes the unused VSrcs slots so entries are canonical values even
-// when the receiver is a reused buffer (DecodeAll, NextDec): two equal
-// dynamic instructions always decode to byte-equal DecodedInsts.
-func (d *DecodedInst) decodeAux() {
+// zeroes the unused VSrcs slots so views are canonical values even when
+// the receiver is a reused buffer (NextDec): two equal dynamic
+// instructions always decode to byte-equal InstViews.
+func (d *InstView) decodeAux() {
 	info := isa.InfoPtr(d.Op)
 	d.Kind = info.Kind
 	d.FU1OK = info.FU1OK
@@ -97,35 +112,48 @@ func (d *DecodedInst) decodeAux() {
 	d.NVSrc = uint8(d.Inst.VSources(&d.VSrcs))
 }
 
-// NewDecodedStream creates a stream replaying a predecoded dynamic
-// instruction sequence (as produced by DecodeAll). The slice is read,
-// never written; one slice can back any number of concurrent streams.
-// p records the static program for Program() and may be nil.
+// NewDecodedStream creates a stream replaying a predecoded record
+// sequence of p (as produced by DecodeAllVL). The slice is read, never
+// written; one slice can back any number of concurrent streams.
 func NewDecodedStream(p *Program, insts []DecodedInst) *Stream {
-	return &Stream{prog: p, dec: insts}
+	p.layout()
+	return &Stream{prog: p, dec: insts, static: p.static}
 }
 
-// DecodeAll drains a fresh source-driven stream of p into a predecoded
-// instruction slice of length capacity hint n. It returns the slice and
-// the stream's terminal error, if any.
-func DecodeAll(p *Program, src TraceSource, n int64) ([]DecodedInst, error) {
-	return DecodeAllVL(p, src, n, 0)
-}
-
-// DecodeAllVL is DecodeAll at the given hardware vector length (see
-// NewStreamVL); maxVL <= 0 selects the reference isa.MaxVL.
+// DecodeAllVL drains a fresh source-driven stream of p at the given
+// hardware vector length (see NewStreamVL; maxVL <= 0 selects the
+// reference isa.MaxVL) into a predecoded record slice of capacity hint
+// n. It returns the slice and the stream's terminal error, if any.
 func DecodeAllVL(p *Program, src TraceSource, n, maxVL int64) ([]DecodedInst, error) {
 	if n < 0 {
 		n = 0
 	}
 	dec := make([]DecodedInst, 0, n)
 	s := NewStreamVL(p, src, maxVL)
-	var d DecodedInst
-	for s.Next(&d.DynInst) {
-		d.decodeAux()
-		dec = append(dec, d)
+	var d isa.DynInst
+	for s.Next(&d) {
+		r := DecodedInst{PC: d.PC, VL: d.VL, Addr: d.Addr}
+		switch isa.KindOf(d.Op) {
+		case isa.KindVLVS:
+			r.Val = d.SetVal
+		case isa.KindVectorMem:
+			r.Val = d.Stride
+		}
+		dec = append(dec, r)
 	}
 	return dec, s.Err()
+}
+
+// expand fills buf with record r joined to its PC's static view.
+func (s *Stream) expand(r *DecodedInst) {
+	s.buf = s.static[r.PC]
+	s.buf.VL, s.buf.Addr = r.VL, r.Addr
+	switch s.buf.Kind {
+	case isa.KindVLVS:
+		s.buf.SetVal = r.Val
+	case isa.KindVectorMem:
+		s.buf.Stride = r.Val
+	}
 }
 
 // Program returns the static program this stream expands.
@@ -147,19 +175,18 @@ func (s *Stream) Err() error {
 }
 
 // NextDec returns the next instruction with its precomputed decode, or
-// nil at end of trace. The returned value is valid until the following
-// NextDec call: predecoded replays hand out shared immutable entries,
-// source-driven replays reuse an internal buffer. Callers must not
-// mutate it.
-func (s *Stream) NextDec() *DecodedInst {
+// nil at end of trace. The returned view lives in a buffer the stream
+// owns and is valid until the following Next or NextDec call. Callers
+// must not mutate it.
+func (s *Stream) NextDec() *InstView {
 	if s.dec != nil {
 		if s.di >= len(s.dec) {
 			return nil
 		}
-		d := &s.dec[s.di]
+		s.expand(&s.dec[s.di])
 		s.di++
 		s.count++
-		return d
+		return &s.buf
 	}
 	if !s.Next(&s.buf.DynInst) {
 		return nil
@@ -175,7 +202,8 @@ func (s *Stream) Next(d *isa.DynInst) bool {
 		if s.di >= len(s.dec) {
 			return false
 		}
-		*d = s.dec[s.di].DynInst
+		s.expand(&s.dec[s.di])
+		*d = s.buf.DynInst
 		s.di++
 		s.count++
 		return true

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -332,6 +333,39 @@ func TestCompiledSweepSynthesizesOnce(t *testing.T) {
 	for i, want := range soloRuns(t, specs) {
 		if !reflect.DeepEqual(got[i], want) {
 			t.Errorf("point %d: sweep report differs from solo Run", i)
+		}
+	}
+}
+
+// TestConcurrentSchedulesShareProgram: four goroutines run four
+// schedules of one compiled kernel at once, so four traces of the same
+// program predecode concurrently. The program's PC layout and static
+// decode table are built once and race-free (run under -race), and every
+// Report equals a solo Run in a fresh session.
+func TestConcurrentSchedulesShareProgram(t *testing.T) {
+	c := testCompiled(t)
+	specs := make([]RunSpec, 4)
+	for i := range specs {
+		specs[i] = Compiled(c, []vcomp.Invocation{{Unit: 1, N: int64(10 + i)}, {Unit: 0, N: int64(200 * (i + 1))}})
+	}
+	s := New(WithJobs(len(specs)))
+	got := make([]*stats.Report, len(specs))
+	errs := make([]error, len(specs))
+	var wg sync.WaitGroup
+	for i := range specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = s.Run(context.Background(), specs[i])
+		}()
+	}
+	wg.Wait()
+	for i, want := range soloRuns(t, specs) {
+		if errs[i] != nil {
+			t.Fatalf("schedule %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("schedule %d: concurrent report differs from solo Run", i)
 		}
 	}
 }

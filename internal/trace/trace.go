@@ -25,8 +25,9 @@ import (
 // Trace is a fully-captured execution of a static program.
 //
 // The first Stream call may predecode the whole dynamic instruction
-// sequence and cache it on the Trace (see Decoded); do not mutate a
-// Trace's fields after streams have been created from it.
+// sequence and cache it on the Trace as 24-byte records over Prog's
+// static decode table (see Decoded); do not mutate a Trace's fields, or
+// its program, after streams have been created from it.
 type Trace struct {
 	Prog    *prog.Program
 	BBs     []int32
@@ -42,12 +43,12 @@ type Trace struct {
 	MaxVL int64
 
 	decOnce sync.Once
-	dec     []prog.DecodedInst // predecoded dynamic stream, nil if unavailable
+	dec     []prog.DecodedInst // predecoded dynamic records, nil if unavailable
 }
 
 // maxDecodedInsts caps the predecode cache: traces whose dynamic length
-// exceeds it (≈100 MB of DynInsts) replay through the TraceSource path
-// instead of being materialized.
+// exceeds it (48 MiB of 24-byte records) replay through the TraceSource
+// path instead of being materialized.
 const maxDecodedInsts = 2 << 20
 
 // Source returns a TraceSource replaying the captured streams. Each call
@@ -57,7 +58,7 @@ func (t *Trace) Source() prog.TraceSource {
 }
 
 // Stream returns a dynamic instruction stream replaying the trace.
-// Reasonably-sized traces are served from a shared predecoded instruction
+// Reasonably-sized traces are served from a shared predecoded record
 // sequence, built on the first replay and bit-identical to source replay:
 // the paper's methodology replays each program many times — restarting
 // companions, grouped sweeps, repeated experiment points — so the
@@ -91,10 +92,12 @@ func (t *Trace) dynLen() int64 {
 	return n
 }
 
-// Decoded returns the trace's predecoded dynamic instruction sequence,
-// building and caching it on first use. It returns nil when the trace is
-// too large to materialize or does not replay cleanly — callers fall back
-// to Source-driven streaming, which reproduces the same sequence (and
+// Decoded returns the trace's predecoded dynamic records, building and
+// caching them on first use: one 24-byte prog.DecodedInst per dynamic
+// instruction, whose static half (instruction and decode) lives once
+// per PC in the program. It returns nil when the trace is too large to
+// materialize or does not replay cleanly — callers fall back to
+// Source-driven streaming, which reproduces the same sequence (and
 // surfaces the same error at the same instruction, if any).
 func (t *Trace) Decoded() []prog.DecodedInst {
 	t.decOnce.Do(func() {
