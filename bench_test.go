@@ -178,9 +178,9 @@ func BenchmarkSessionRunMemoized(b *testing.B) {
 
 // Compiled sweep: a memo-missed eight-point latency sweep over one
 // compiled kernel, with a fresh session per iteration. The session's
-// trace cache synthesizes and predecodes the shared trace once per
-// sweep (docs/PERF.md, "Sweeps run per point"); jobs=1 measures work
-// per core, jobs=4 the parallel fan-out.
+// trace cache synthesizes the shared trace once per sweep
+// (docs/PERF.md, "Sweeps run per point"); jobs=1 measures work per
+// core, jobs=4 the parallel fan-out.
 
 func benchSweepCompiled(b *testing.B) *mtvec.Compiled {
 	b.Helper()

@@ -167,18 +167,17 @@ func benchCases(scale float64, jobs int) ([]benchCase, error) {
 			return rep.Cycles, nil
 		},
 	})
-	// Predecode: materializing tf's dynamic records on a fresh Trace
-	// over the same program and streams, so every iteration pays the
-	// full expansion and its B/op is the record slice.
+	// Replay: draining tf's trace in place, the instruction supply every
+	// simulation of it reads; ns/op is the replay cost and B/op the one
+	// stream a replay allocates.
 	cases = append(cases, benchCase{
-		name: "trace/predecode",
+		name: "trace/replay",
 		fn: func() (int64, error) {
-			src := solo.Trace
-			tr := &mtvec.Trace{Prog: src.Prog, BBs: src.BBs, VLs: src.VLs, Strides: src.Strides, Addrs: src.Addrs, MaxVL: src.MaxVL}
-			if tr.Decoded() == nil {
-				return 0, fmt.Errorf("trace/predecode: %s was not predecoded", solo.Spec.Short)
+			s := solo.Stream()
+			var d mtvec.DynInst
+			for s.Next(&d) {
 			}
-			return 0, nil
+			return 0, s.Err()
 		},
 	})
 	memo := mtvec.NewSession()
@@ -204,9 +203,9 @@ func benchCases(scale float64, jobs int) ([]benchCase, error) {
 
 	// Compiled-kernel sweep: a memo-missed eight-point latency sweep
 	// over one kernel and schedule, on a fresh session under the
-	// -bench-jobs gate width. The session's trace cache synthesizes and
-	// predecodes the shared trace once per sweep (docs/PERF.md, "Sweeps
-	// run per point").
+	// -bench-jobs gate width. The session's trace cache synthesizes the
+	// shared trace once per sweep (docs/PERF.md, "Sweeps run per
+	// point").
 	sweepKernel, err := compileSweepKernel()
 	if err != nil {
 		return nil, err

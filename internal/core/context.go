@@ -187,13 +187,17 @@ type hwContext struct {
 	vregs  []vregState
 	banks  []bankState
 
-	// Instruction supply. head points at the stream's current decoded
-	// instruction, a view in a buffer the stream owns: valid while
-	// headValid (the stream is not advanced until the head dispatches)
-	// and never written by the machine.
+	// Instruction supply. head points at the static decode entry of the
+	// context's next instruction, shared with every stream of its
+	// program and never written by the machine; vl and stride are the
+	// vector-length and stride registers it executes under, the only
+	// dynamic values the machine reads. All three are valid while
+	// headValid (the stream is not advanced until the head dispatches).
 	stream    *prog.Stream
 	next      jobSource
-	head      *prog.InstView
+	head      *prog.StaticInst
+	vl        uint16
+	stride    int64
 	headValid bool
 	exhausted bool
 
@@ -230,9 +234,9 @@ func (c *hwContext) refill(m *Machine) bool {
 	}
 	for {
 		if c.stream != nil {
-			if d := c.stream.NextDec(); d != nil {
+			if d, vl, stride := c.stream.NextExec(); d != nil {
 				if d.Kind == isa.KindVector || d.Kind == isa.KindVectorMem {
-					if err := m.checkShape(d); err != nil {
+					if err := m.checkShape(d, vl); err != nil {
 						if c.err == nil {
 							c.err = err
 						}
@@ -240,7 +244,7 @@ func (c *hwContext) refill(m *Machine) bool {
 						return false
 					}
 				}
-				c.head = d
+				c.head, c.vl, c.stride = d, vl, stride
 				c.headValid = true
 				return true
 			}

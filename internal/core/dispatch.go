@@ -219,7 +219,7 @@ func destFree(v *vregState, now Cycle) (bool, Cycle) {
 // for the default shape never trip it; the check exists so a trace built
 // for one register-file organization fails loudly — not silently — on a
 // machine with a smaller one.
-func (m *Machine) checkShape(d *prog.InstView) error {
+func (m *Machine) checkShape(d *prog.StaticInst, vl uint16) error {
 	if d.Dst.Class == isa.ClassV && int(d.Dst.Reg) >= m.ctxVRegs {
 		return fmt.Errorf("vector register v%d out of range: this context sees %d registers", d.Dst.Reg, m.ctxVRegs)
 	}
@@ -228,8 +228,8 @@ func (m *Machine) checkShape(d *prog.InstView) error {
 			return fmt.Errorf("vector register v%d out of range: this context sees %d registers", r, m.ctxVRegs)
 		}
 	}
-	if d.VL > m.vlMax {
-		return fmt.Errorf("vector length %d exceeds the machine's %d-element registers (rebuild the workload for this shape)", d.VL, m.vlMax)
+	if vl > m.vlMax {
+		return fmt.Errorf("vector length %d exceeds the machine's %d-element registers (rebuild the workload for this shape)", vl, m.vlMax)
 	}
 	// An instruction whose two vector sources live in one bank needs two
 	// simultaneous read ports there; on a shape without them it could
@@ -365,7 +365,7 @@ func (m *Machine) fuUnit(i int) int {
 func (m *Machine) checkVectorArith(c *hwContext) (bool, Cycle) {
 	d := c.head
 	now := m.now
-	vl := Cycle(d.VL)
+	vl := Cycle(c.vl)
 
 	if fu, _, retry := m.pickVectorFU(c); fu == nil {
 		return false, retry
@@ -422,7 +422,7 @@ func (m *Machine) checkVectorArith(c *hwContext) (bool, Cycle) {
 func (m *Machine) commitVectorArith(c *hwContext) (bool, Cycle) {
 	d := c.head
 	now := m.now
-	vl := Cycle(d.VL)
+	vl := Cycle(c.vl)
 
 	fu, unit, retry := m.pickVectorFU(c)
 	if fu == nil {
@@ -492,7 +492,7 @@ func (m *Machine) commitVectorMem(c *hwContext) (bool, Cycle) {
 	d := c.head
 	info := c.head
 	now := m.now
-	vl := int(d.VL)
+	vl := int(c.vl)
 
 	if m.ld.freeAt > now {
 		return false, m.ld.freeAt
@@ -525,7 +525,7 @@ func (m *Machine) commitVectorMem(c *hwContext) (bool, Cycle) {
 		}
 	}
 
-	start, firstData, busyFor := m.mem.ProbeVector(s, vl, d.Stride, info.Load)
+	start, firstData, busyFor := m.mem.ProbeVector(s, vl, c.stride, info.Load)
 	readEnd := start + busyFor
 	var fw, lw Cycle
 	if info.Load {
@@ -543,7 +543,7 @@ func (m *Machine) commitVectorMem(c *hwContext) (bool, Cycle) {
 		}
 	}
 
-	m.mem.ScheduleVector(s, vl, d.Stride, info.Load)
+	m.mem.ScheduleVector(s, vl, c.stride, info.Load)
 	m.ld.freeAt = start + busyFor
 	m.tl.AddBusy(stats.UnitLD, start, start+busyFor)
 	m.commitReads(c, srcs, start, readEnd, now)
@@ -560,7 +560,7 @@ func (m *Machine) commitVectorMem(c *hwContext) (bool, Cycle) {
 func (m *Machine) applyVectorArith(c *hwContext) {
 	d := c.head
 	now := m.now
-	vl := Cycle(d.VL)
+	vl := Cycle(c.vl)
 	fu, unit, _ := m.pickVectorFU(c)
 
 	s := now
@@ -590,7 +590,7 @@ func (m *Machine) checkVectorMem(c *hwContext) (bool, Cycle) {
 	d := c.head
 	info := c.head
 	now := m.now
-	vl := int(d.VL)
+	vl := int(c.vl)
 
 	if m.ld.freeAt > now {
 		return false, m.ld.freeAt
@@ -623,7 +623,7 @@ func (m *Machine) checkVectorMem(c *hwContext) (bool, Cycle) {
 		}
 	}
 
-	start, firstData, busyFor := m.mem.ProbeVector(s, vl, d.Stride, info.Load)
+	start, firstData, busyFor := m.mem.ProbeVector(s, vl, c.stride, info.Load)
 	readEnd := start + busyFor
 	var fw, lw Cycle
 	if info.Load {
@@ -647,10 +647,10 @@ func (m *Machine) applyVectorMem(c *hwContext) {
 	d := c.head
 	info := c.head
 	now := m.now
-	vl := int(d.VL)
+	vl := int(c.vl)
 	srcs := c.head.VSrcs[:c.head.NVSrc]
 
-	start, firstData, busyFor := m.mem.ScheduleVector(now, vl, d.Stride, info.Load)
+	start, firstData, busyFor := m.mem.ScheduleVector(now, vl, c.stride, info.Load)
 	readEnd := start + busyFor
 	m.ld.freeAt = start + busyFor
 	m.tl.AddBusy(stats.UnitLD, start, start+busyFor)

@@ -6,7 +6,7 @@ import (
 	"mtvec/internal/isa"
 )
 
-// fuzzProgram covers every dynamic-expansion path Stream.Next has: VL/VS
+// fuzzProgram covers every dynamic-expansion path a Stream has: VL/VS
 // installs, vector arithmetic (FU1-eligible and FU2-only), vector and
 // scalar memory, gather/scatter (two vector sources), reductions and
 // plain scalar/branch work.
@@ -75,20 +75,32 @@ func fuzzSource(data []byte, blocks int) *SliceSource {
 	return s
 }
 
+// replayOf is the in-place replay of the slices src holds: the stream
+// Trace.Stream builds over the same four traces.
+func replayOf(p *Program, src *SliceSource, maxVL int64) *Stream {
+	bbs := make([]int32, len(src.BBs))
+	for i, b := range src.BBs {
+		bbs[i] = int32(b)
+	}
+	return NewReplayStream(p, bbs, src.VLs, src.Strides, src.Addrs, maxVL)
+}
+
 // FuzzDecode fuzzes the trace-expansion pipeline: arbitrary bytes become
-// a SliceSource over fuzzProgram, predecoded by DecodeAllVL. The
-// properties under test:
+// the four trace streams over fuzzProgram, replayed in place
+// (NewReplayStream) and expanded source-driven through a SliceSource
+// (NewStreamVL). The properties under test:
 //
-//   - expansion never panics, whatever the trace holds — out-of-range
+//   - neither mode ever panics, whatever the trace holds — out-of-range
 //     block indices, exhausted value streams, degenerate VLs and
 //     strides must all surface as Stream errors;
-//   - the predecoded records replayed through NewDecodedStream deliver,
-//     via both Next and NextDec, a DynInst sequence bit-identical to a
-//     fresh source-driven stream over the same bytes, with the same
-//     terminal error — the stream.go contract the trace cache leans on;
-//   - every expanded view's decode fields agree with the ISA tables for
-//     its opcode, and each record's Val is the Stride or SetVal its
-//     instruction carries (zero for every other kind).
+//   - in-place replay delivers, via Next, a DynInst sequence
+//     bit-identical to source-driven expansion over the same bytes, with
+//     the same Count and the same terminal error, and via NextExec the
+//     same static entries and VL/stride registers in both modes;
+//   - every instruction's static entry is its PC's, agrees with the
+//     DynInst Next delivers for it (VL of a vector op, Stride of a
+//     vector memory op) and holds the decode the ISA tables give its
+//     opcode.
 func FuzzDecode(f *testing.F) {
 	// Seeds shaped like the suite's synthesized traces: a VL/VS header
 	// then looped bodies, a sparse block, a mid-trace VL change, plus
@@ -104,73 +116,83 @@ func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, maxVL int64) {
 		p := fuzzProgram()
 		blocks := len(p.Blocks)
+		sameEnd := func(how string, live, replay *Stream) {
+			t.Helper()
+			if replay.Count() != live.Count() {
+				t.Fatalf("%s: in-place Count %d, source-driven %d", how, replay.Count(), live.Count())
+			}
+			le, re := live.Err(), replay.Err()
+			if (le == nil) != (re == nil) || (le != nil && le.Error() != re.Error()) {
+				t.Fatalf("%s: terminal errors diverge: in place %v, source-driven %v", how, re, le)
+			}
+		}
 
-		dec, decErr := DecodeAllVL(p, fuzzSource(data, blocks), int64(len(data)), maxVL)
-
-		// A fresh source-driven stream over the same bytes is the
-		// reference sequence and terminal error.
+		// Source-driven expansion is the reference sequence and
+		// terminal error.
 		live := NewStreamVL(p, fuzzSource(data, blocks), maxVL)
 		var want []isa.DynInst
 		var d isa.DynInst
 		for live.Next(&d) {
 			want = append(want, d)
 		}
-		if len(want) != len(dec) {
-			t.Fatalf("source-driven stream delivered %d instructions, predecode holds %d", len(want), len(dec))
-		}
-		liveErr := live.Err()
-		if (decErr == nil) != (liveErr == nil) ||
-			(decErr != nil && decErr.Error() != liveErr.Error()) {
-			t.Fatalf("terminal errors diverge: predecode %v, source-driven %v", decErr, liveErr)
-		}
 
-		// Predecoded replay through Next hands back the same sequence.
-		next := NewDecodedStream(p, dec)
+		replay := replayOf(p, fuzzSource(data, blocks), maxVL)
 		for i := range want {
-			if !next.Next(&d) {
-				t.Fatalf("predecoded Next ended early at %d of %d", i, len(want))
+			if !replay.Next(&d) {
+				t.Fatalf("in-place Next ended early at %d of %d", i, len(want))
 			}
 			if d != want[i] {
-				t.Fatalf("inst %d: predecoded Next %+v != source-driven %+v", i, d, want[i])
+				t.Fatalf("inst %d: in-place Next %+v != source-driven %+v", i, d, want[i])
 			}
 		}
-		if next.Next(&d) || next.Count() != live.Count() || next.Err() != nil {
-			t.Fatalf("predecoded Next: ran past its records or miscounted (count %d, want %d)", next.Count(), live.Count())
+		if replay.Next(&d) {
+			t.Fatalf("in-place Next ran past the %d source-driven instructions", len(want))
 		}
+		sameEnd("Next", live, replay)
 
-		// Predecoded replay through NextDec expands the same sequence,
-		// and the expanded decode fields agree with the ISA tables.
-		replay := NewDecodedStream(p, dec)
+		// NextExec hands both modes' machines the same static entries
+		// and registers, and they agree with the expanded sequence.
+		live = NewStreamVL(p, fuzzSource(data, blocks), maxVL)
+		replay = replayOf(p, fuzzSource(data, blocks), maxVL)
 		for i := range want {
-			rd := replay.NextDec()
-			if rd == nil {
-				t.Fatalf("predecoded replay ended early at %d of %d", i, len(dec))
+			ls, lvl, lstride := live.NextExec()
+			rs, rvl, rstride := replay.NextExec()
+			if rs == nil || ls == nil {
+				t.Fatalf("NextExec ended early at %d of %d (in place %v, source-driven %v)", i, len(want), rs == nil, ls == nil)
 			}
-			if rd.DynInst != want[i] {
-				t.Fatalf("inst %d: replay %+v != source-driven %+v", i, rd.DynInst, want[i])
+			if rs != ls || rvl != lvl || rstride != lstride {
+				t.Fatalf("inst %d: in-place NextExec %p/%d/%d, source-driven %p/%d/%d", i, rs, rvl, rstride, ls, lvl, lstride)
 			}
-			info := isa.InfoOf(rd.Op)
-			if rd.Kind != info.Kind || rd.FU1OK != info.FU1OK || rd.Load != info.Load {
-				t.Fatalf("inst %d (%s): expanded decode fields disagree with ISA table", i, rd.Op)
+			w := &want[i]
+			if rs != &p.static[w.PC] || rs.Inst != w.Inst || rs.PC != w.PC {
+				t.Fatalf("inst %d: static entry %+v is not PC %d's", i, *rs, w.PC)
+			}
+			info := isa.InfoOf(w.Op)
+			if rs.Kind != info.Kind || rs.FU1OK != info.FU1OK || rs.Load != info.Load {
+				t.Fatalf("inst %d (%s): static decode fields disagree with ISA table", i, w.Op)
 			}
 			var vs [2]uint8
-			if n := rd.Inst.VSources(&vs); int(rd.NVSrc) != n || vs != rd.VSrcs {
-				t.Fatalf("inst %d (%s): expanded vector sources %d/%v, want %d/%v",
-					i, rd.Op, rd.NVSrc, rd.VSrcs, n, vs)
+			if n := w.Inst.VSources(&vs); int(rs.NVSrc) != n || vs != rs.VSrcs {
+				t.Fatalf("inst %d (%s): static vector sources %d/%v, want %d/%v",
+					i, w.Op, rs.NVSrc, rs.VSrcs, n, vs)
 			}
-			var val int64
 			switch info.Kind {
-			case isa.KindVLVS:
-				val = want[i].SetVal
+			case isa.KindVector:
+				if rvl != w.VL {
+					t.Fatalf("inst %d (%s): NextExec VL %d, Next %d", i, w.Op, rvl, w.VL)
+				}
 			case isa.KindVectorMem:
-				val = want[i].Stride
-			}
-			if dec[i].Val != val {
-				t.Fatalf("inst %d (%s): record Val %d, want %d", i, rd.Op, dec[i].Val, val)
+				if rvl != w.VL || rstride != w.Stride {
+					t.Fatalf("inst %d (%s): NextExec VL/stride %d/%d, Next %d/%d", i, w.Op, rvl, rstride, w.VL, w.Stride)
+				}
 			}
 		}
-		if replay.NextDec() != nil {
-			t.Fatal("predecoded replay ran past its slice")
+		if rs, _, _ := replay.NextExec(); rs != nil {
+			t.Fatal("in-place NextExec ran past the source-driven sequence")
 		}
+		if ls, _, _ := live.NextExec(); ls != nil {
+			t.Fatal("source-driven NextExec ran past its Next sequence")
+		}
+		sameEnd("NextExec", live, replay)
 	})
 }

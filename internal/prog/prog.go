@@ -34,25 +34,24 @@ type Program struct {
 	Blocks []BasicBlock
 
 	layoutOnce sync.Once
-	pcBase     []uint32   // first PC of each block
-	static     []InstView // static half of every PC's view (see DecodedInst)
+	pcBase     []uint32     // first PC of each block, then NumInsts
+	static     []StaticInst // every PC's instruction and decode
 }
 
-// layout builds pcBase and the static decode table: one InstView per PC
-// holding the instruction, its PC and its decode, with the dynamic
-// fields zero.
+// layout builds pcBase and the static decode table. pcBase carries one
+// entry past the last block, so block bi's PCs are
+// [pcBase[bi], pcBase[bi+1]).
 func (p *Program) layout() {
 	p.layoutOnce.Do(func() {
-		p.pcBase = make([]uint32, len(p.Blocks))
-		p.static = make([]InstView, 0, p.NumInsts())
+		p.pcBase = make([]uint32, len(p.Blocks)+1)
+		p.static = make([]StaticInst, 0, p.NumInsts())
 		for i, b := range p.Blocks {
 			p.pcBase[i] = uint32(len(p.static))
 			for _, in := range b.Insts {
-				v := InstView{DynInst: isa.DynInst{Inst: in, PC: uint32(len(p.static))}}
-				v.decodeAux()
-				p.static = append(p.static, v)
+				p.static = append(p.static, decode(in, uint32(len(p.static))))
 			}
 		}
+		p.pcBase[len(p.Blocks)] = uint32(len(p.static))
 	})
 }
 

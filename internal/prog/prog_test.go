@@ -3,7 +3,6 @@ package prog
 import (
 	"strings"
 	"testing"
-	"unsafe"
 
 	"mtvec/internal/isa"
 )
@@ -64,16 +63,6 @@ func TestNumInstsAndPCBase(t *testing.T) {
 	}
 	if p.BlockIndex("body") != 1 || p.BlockIndex("nope") != -1 {
 		t.Fatal("BlockIndex lookup broken")
-	}
-}
-
-// TestDecodedInstSize guards the predecode cache's footprint: a
-// predecoded trace holds one DecodedInst per dynamic instruction, so a
-// field added to the record grows every cached trace with it. Static
-// per-PC data belongs in InstView, which the program holds once.
-func TestDecodedInstSize(t *testing.T) {
-	if n := unsafe.Sizeof(DecodedInst{}); n != 24 {
-		t.Fatalf("DecodedInst is %d bytes, want 24", n)
 	}
 }
 

@@ -1,10 +1,8 @@
 package prog
 
-import "fmt"
-
-// SliceSource is a TraceSource backed by in-memory slices. It is the
-// reference implementation used by tests and by the trace replayer's
-// buffered decoding.
+// SliceSource is a TraceSource backed by in-memory slices: the
+// reference source tests drive source-driven streams with, and the
+// oracle the in-place replay of NewReplayStream is checked against.
 type SliceSource struct {
 	BBs     []int
 	VLs     []int64
@@ -60,7 +58,7 @@ func (s *SliceSource) NextAddr() uint64 {
 
 func (s *SliceSource) fail(stream string) {
 	if s.err == nil {
-		s.err = fmt.Errorf("prog: %s trace exhausted before basic-block trace", stream)
+		s.err = exhausted(stream)
 	}
 }
 

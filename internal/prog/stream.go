@@ -6,51 +6,45 @@ import (
 	"mtvec/internal/isa"
 )
 
-// Stream expands a static program against a TraceSource into the dynamic
-// instruction stream. It maintains the architectural vector-length and
-// vector-stride registers: SetVL/SetVS instructions install values drawn
-// from the VL/stride traces, and subsequent vector instructions execute
-// under them, exactly as on the traced machine.
+// Stream expands a static program into the dynamic instruction stream.
+// It maintains the architectural vector-length and vector-stride
+// registers: SetVL/SetVS instructions install values drawn from the
+// VL/stride traces, and subsequent vector instructions execute under
+// them, exactly as on the traced machine.
 //
-// A Stream is single-use; create a new one (with a fresh TraceSource) to
-// restart a program.
+// A Stream walks the basic-block trace and indexes its program's static
+// decode table, one StaticInst per PC, for every instruction. The values
+// the instructions consume come either straight from a trace's four
+// slices, read in place (NewReplayStream, the form every simulation
+// uses), or from a TraceSource (NewStream, NewStreamVL: recording and
+// tests). Both deliver the same sequence from the same values, and a
+// malformed trace ends both at the same instruction with the same error.
 //
-// A Stream has two replay modes: expanding a static program against a
-// TraceSource instruction by instruction (NewStream), or indexing a
-// predecoded record slice (NewDecodedStream) — the hot-path form
-// trace.Trace caches so repeated replays skip the per-instruction
-// expansion. A predecoded replay expands each 24-byte record against the
-// program's static decode table into a stream-owned InstView. Both modes
-// deliver bit-identical DynInst sequences.
+// A Stream is single-use; create a new one to restart a program.
 type Stream struct {
-	prog *Program
-	src  TraceSource
+	prog   *Program
+	static []StaticInst
+	pcBase []uint32
 
-	// dec, when non-nil, selects the predecoded replay mode: Next and
-	// NextDec expand successive records against static instead of
-	// expanding the program.
-	dec    []DecodedInst
-	di     int
-	static []InstView
+	// src, when non-nil, supplies the dynamic values; otherwise they are
+	// read in place from the four slices, each with its own cursor.
+	src     TraceSource
+	bbs     []int32
+	vls     []int64
+	strides []int64
+	addrs   []uint64
 
-	// buf backs NextDec in both modes.
-	buf InstView
+	bi, vi, si, ai int
 
-	vl    int64 // architectural vector length register
-	vs    int64 // architectural vector stride register (bytes)
-	maxVL int64 // hardware vector length: SetVL values clamp to it
+	pc, end uint32 // the current block's remaining PCs: [pc, end)
 
-	bb    int
-	idx   int
-	inBB  bool
+	vl    int64  // architectural vector length register
+	vs    int64  // architectural vector stride register (bytes)
+	maxVL int64  // hardware vector length: SetVL values clamp to it
+	addr  uint64 // address of the current memory instruction
+
 	count int64
-
-	// Current-block cache: insts and pcBase mirror Blocks[bb] so the
-	// per-instruction path needs no repeated double indexing.
-	insts  []isa.Inst
-	pcBase uint32
-
-	err error
+	err   error
 }
 
 // NewStream creates a dynamic stream for p fed by src. The VL register
@@ -66,32 +60,37 @@ func NewStream(p *Program, src TraceSource) *Stream {
 // to it, exactly as the traced machine would have executed them. maxVL
 // <= 0 selects the reference isa.MaxVL.
 func NewStreamVL(p *Program, src TraceSource, maxVL int64) *Stream {
+	s := newStream(p, maxVL)
+	s.src = src
+	return s
+}
+
+// NewReplayStream creates a stream replaying a captured trace of p in
+// place: bbs, vls, strides and addrs are the basic-block, vector-length,
+// stride and address traces, and maxVL is as for NewStreamVL. The slices
+// are read, never written; one trace can back any number of concurrent
+// streams.
+func NewReplayStream(p *Program, bbs []int32, vls, strides []int64, addrs []uint64, maxVL int64) *Stream {
+	s := newStream(p, maxVL)
+	s.bbs, s.vls, s.strides, s.addrs = bbs, vls, strides, addrs
+	return s
+}
+
+func newStream(p *Program, maxVL int64) *Stream {
 	if maxVL <= 0 {
 		maxVL = isa.MaxVL
 	}
-	return &Stream{prog: p, src: src, vl: maxVL, maxVL: maxVL, vs: isa.ElemBytes}
+	p.layout()
+	return &Stream{prog: p, static: p.static, pcBase: p.pcBase, vl: maxVL, maxVL: maxVL, vs: isa.ElemBytes}
 }
 
-// DecodedInst is the dynamic half of one predecoded instruction: what
-// the four trace streams contributed to it. Val is the Stride of a
-// vector memory op or the SetVal of a SetVL/SetVS, and zero otherwise.
-// Everything else about the instruction is fixed per PC and lives once
-// in its program's static decode table, so a predecoded trace costs 24
-// bytes per dynamic instruction. The struct is pointer-free, so
-// predecoded traces cost the garbage collector nothing to scan.
-type DecodedInst struct {
-	PC   uint32
-	VL   uint16
-	Addr uint64
-	Val  int64
-}
-
-// InstView is a dynamic instruction plus its precomputed static decode:
-// the dispatch-relevant opcode properties and the vector source
-// registers. Simulators consume these via Stream.NextDec without
-// recomputing either per dispatch.
-type InstView struct {
-	isa.DynInst
+// StaticInst is one PC's entry in its program's static decode table: the
+// instruction, its PC and the dispatch-relevant decode of its opcode and
+// vector source registers, computed once per PC so neither the stream
+// nor the simulator recomputes them per dynamic instruction.
+type StaticInst struct {
+	isa.Inst
+	PC    uint32
 	Kind  isa.Kind // dispatch classification of Op
 	FU1OK bool     // vector arithmetic may run on FU1
 	Load  bool     // reads memory
@@ -99,163 +98,178 @@ type InstView struct {
 	VSrcs [2]uint8 // vector source registers (store data, indices)
 }
 
-// decodeAux fills the precomputed decode fields from the DynInst. It
-// zeroes the unused VSrcs slots so views are canonical values even when
-// the receiver is a reused buffer (NextDec): two equal dynamic
-// instructions always decode to byte-equal InstViews.
-func (d *InstView) decodeAux() {
-	info := isa.InfoPtr(d.Op)
-	d.Kind = info.Kind
-	d.FU1OK = info.FU1OK
-	d.Load = info.Load
-	d.VSrcs = [2]uint8{}
-	d.NVSrc = uint8(d.Inst.VSources(&d.VSrcs))
+// decode builds the static table entry of instruction in at pc.
+func decode(in isa.Inst, pc uint32) StaticInst {
+	info := isa.InfoPtr(in.Op)
+	d := StaticInst{Inst: in, PC: pc, Kind: info.Kind, FU1OK: info.FU1OK, Load: info.Load}
+	d.NVSrc = uint8(in.VSources(&d.VSrcs))
+	return d
 }
 
-// NewDecodedStream creates a stream replaying a predecoded record
-// sequence of p (as produced by DecodeAllVL). The slice is read, never
-// written; one slice can back any number of concurrent streams.
-func NewDecodedStream(p *Program, insts []DecodedInst) *Stream {
-	p.layout()
-	return &Stream{prog: p, dec: insts, static: p.static}
+// DecodedInst is one dynamic instruction reduced to what the four trace
+// streams contributed to it. Val is the Stride of a vector memory op or
+// the SetVal of a SetVL/SetVS, and zero otherwise. Everything else about
+// the instruction is its PC's StaticInst. The simulator never
+// materializes these; see trace.Trace.Decoded.
+type DecodedInst struct {
+	PC   uint32
+	VL   uint16
+	Addr uint64
+	Val  int64
 }
-
-// DecodeAllVL drains a fresh source-driven stream of p at the given
-// hardware vector length (see NewStreamVL; maxVL <= 0 selects the
-// reference isa.MaxVL) into a predecoded record slice of capacity hint
-// n. It returns the slice and the stream's terminal error, if any.
-func DecodeAllVL(p *Program, src TraceSource, n, maxVL int64) ([]DecodedInst, error) {
-	if n < 0 {
-		n = 0
-	}
-	dec := make([]DecodedInst, 0, n)
-	s := NewStreamVL(p, src, maxVL)
-	var d isa.DynInst
-	for s.Next(&d) {
-		r := DecodedInst{PC: d.PC, VL: d.VL, Addr: d.Addr}
-		switch isa.KindOf(d.Op) {
-		case isa.KindVLVS:
-			r.Val = d.SetVal
-		case isa.KindVectorMem:
-			r.Val = d.Stride
-		}
-		dec = append(dec, r)
-	}
-	return dec, s.Err()
-}
-
-// expand fills buf with record r joined to its PC's static view.
-func (s *Stream) expand(r *DecodedInst) {
-	s.buf = s.static[r.PC]
-	s.buf.VL, s.buf.Addr = r.VL, r.Addr
-	switch s.buf.Kind {
-	case isa.KindVLVS:
-		s.buf.SetVal = r.Val
-	case isa.KindVectorMem:
-		s.buf.Stride = r.Val
-	}
-}
-
-// Program returns the static program this stream expands.
-func (s *Stream) Program() *Program { return s.prog }
 
 // Count returns the number of dynamic instructions delivered so far.
 func (s *Stream) Count() int64 { return s.count }
 
-// Err returns the first error encountered (bad block index, failing
-// source). A stream that ends with Err() == nil ended normally.
+// Err returns the first error encountered (bad block index, a value
+// trace that runs dry, a failing source). A stream that ends with
+// Err() == nil ended normally.
 func (s *Stream) Err() error {
-	if s.err != nil {
+	if s.err != nil || s.src == nil {
 		return s.err
-	}
-	if s.src == nil {
-		return nil
 	}
 	return s.src.Err()
 }
 
-// NextDec returns the next instruction with its precomputed decode, or
-// nil at end of trace. The returned view lives in a buffer the stream
-// owns and is valid until the following Next or NextDec call. Callers
-// must not mutate it.
-func (s *Stream) NextDec() *InstView {
-	if s.dec != nil {
-		if s.di >= len(s.dec) {
-			return nil
-		}
-		s.expand(&s.dec[s.di])
-		s.di++
-		s.count++
-		return &s.buf
-	}
-	if !s.Next(&s.buf.DynInst) {
-		return nil
-	}
-	s.buf.decodeAux()
-	return &s.buf
+// NextExec advances to the next instruction and returns its static
+// entry together with the vector-length and stride registers it
+// executes under — its VL when it is a vector instruction, and its
+// Stride when it is a vector memory instruction — or a nil entry at end
+// of trace. This is the simulator's accessor: the entry is shared, read
+// only, and valid for the program's lifetime, so nothing is copied per
+// instruction.
+func (s *Stream) NextExec() (*StaticInst, uint16, int64) {
+	return s.step(), uint16(s.vl), s.vs
 }
 
 // Next fills d with the next dynamic instruction, reporting false at end
 // of trace. d is fully overwritten.
 func (s *Stream) Next(d *isa.DynInst) bool {
-	if s.dec != nil {
-		if s.di >= len(s.dec) {
-			return false
-		}
-		s.expand(&s.dec[s.di])
-		*d = s.buf.DynInst
-		s.di++
-		s.count++
-		return true
-	}
-	if s.err != nil {
+	in := s.step()
+	if in == nil {
 		return false
 	}
-	for !s.inBB || s.idx >= len(s.insts) {
-		bb, ok := s.src.NextBB()
-		if !ok {
+	*d = isa.DynInst{Inst: in.Inst, PC: in.PC}
+	switch in.Kind {
+	case isa.KindVLVS:
+		d.SetVal = s.vs
+		if in.Op == isa.OpSetVL {
+			d.SetVal = s.vl
+		}
+	case isa.KindVector:
+		d.VL = uint16(s.vl)
+	case isa.KindVectorMem:
+		d.VL, d.Stride, d.Addr = uint16(s.vl), s.vs, s.addr
+	case isa.KindScalarMem:
+		d.Addr = s.addr
+	}
+	return true
+}
+
+// step advances to the next instruction, drawing the values it
+// consumes, and returns its static entry, or nil at end of trace. An
+// in-place address read, the per-instruction common case, is inline.
+func (s *Stream) step() *StaticInst {
+	if s.pc >= s.end && !s.nextBlock() {
+		return nil
+	}
+	in := &s.static[s.pc]
+	s.pc++
+	s.count++
+	switch in.Kind {
+	case isa.KindVectorMem, isa.KindScalarMem:
+		if s.ai < len(s.addrs) {
+			s.addr = s.addrs[s.ai]
+			s.ai++
+		} else {
+			s.addr = s.nextAddr()
+		}
+	case isa.KindVLVS:
+		if in.Op == isa.OpSetVL {
+			s.vl = min(max(s.nextVL(), 1), s.maxVL)
+		} else {
+			s.vs = s.nextStride()
+		}
+	}
+	return in
+}
+
+// nextBlock positions the stream at the first instruction of the next
+// non-empty traced block, reporting false at end of trace. A value trace
+// that ran dry ends the stream here, at the block boundary, as a failing
+// TraceSource ends its basic-block trace.
+func (s *Stream) nextBlock() bool {
+	for s.pc >= s.end {
+		if s.err != nil {
 			return false
+		}
+		var bb int
+		if s.src != nil {
+			b, ok := s.src.NextBB()
+			if !ok {
+				return false
+			}
+			bb = b
+		} else {
+			if s.bi >= len(s.bbs) {
+				return false
+			}
+			bb = int(s.bbs[s.bi])
+			s.bi++
 		}
 		if bb < 0 || bb >= len(s.prog.Blocks) {
 			s.err = fmt.Errorf("prog: %s: trace names block %d of %d", s.prog.Name, bb, len(s.prog.Blocks))
 			return false
 		}
-		s.bb, s.idx, s.inBB = bb, 0, true
-		s.insts = s.prog.Blocks[bb].Insts
-		s.pcBase = s.prog.PCBase(bb)
-	}
-
-	in := s.insts[s.idx]
-	*d = isa.DynInst{Inst: in, PC: s.pcBase + uint32(s.idx)}
-	s.idx++
-	s.count++
-
-	switch isa.KindOf(in.Op) {
-	case isa.KindVLVS:
-		if in.Op == isa.OpSetVL {
-			v := s.src.NextVL()
-			if v < 1 {
-				v = 1
-			}
-			if v > s.maxVL {
-				v = s.maxVL
-			}
-			s.vl = v
-			d.SetVal = s.vl
-		} else {
-			s.vs = s.src.NextStride()
-			d.SetVal = s.vs
-		}
-	case isa.KindVector:
-		d.VL = uint16(s.vl)
-	case isa.KindVectorMem:
-		d.VL = uint16(s.vl)
-		d.Stride = s.vs
-		d.Addr = s.src.NextAddr()
-	case isa.KindScalarMem:
-		d.Addr = s.src.NextAddr()
+		s.pc, s.end = s.pcBase[bb], s.pcBase[bb+1]
 	}
 	return true
+}
+
+func (s *Stream) nextVL() int64 {
+	if s.src != nil {
+		return s.src.NextVL()
+	}
+	if s.vi >= len(s.vls) {
+		s.fail("vector-length")
+		return 1
+	}
+	s.vi++
+	return s.vls[s.vi-1]
+}
+
+func (s *Stream) nextStride() int64 {
+	if s.src != nil {
+		return s.src.NextStride()
+	}
+	if s.si >= len(s.strides) {
+		s.fail("stride")
+		return 0
+	}
+	s.si++
+	return s.strides[s.si-1]
+}
+
+// nextAddr is step's slow path for an address: a source-driven read,
+// or an in-place address trace that has run dry.
+func (s *Stream) nextAddr() uint64 {
+	if s.src != nil {
+		return s.src.NextAddr()
+	}
+	s.fail("address")
+	return 0
+}
+
+func (s *Stream) fail(stream string) {
+	if s.err == nil {
+		s.err = exhausted(stream)
+	}
+}
+
+// exhausted is the error of a value trace that runs dry before the
+// basic-block trace does.
+func exhausted(stream string) error {
+	return fmt.Errorf("prog: %s trace exhausted before basic-block trace", stream)
 }
 
 // Drain consumes the rest of the stream, returning the number of dynamic

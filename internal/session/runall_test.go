@@ -339,7 +339,7 @@ func TestCompiledSweepSynthesizesOnce(t *testing.T) {
 
 // TestConcurrentSchedulesShareProgram: four goroutines run four
 // schedules of one compiled kernel at once, so four traces of the same
-// program predecode concurrently. The program's PC layout and static
+// program replay concurrently. The program's PC layout and static
 // decode table are built once and race-free (run under -race), and every
 // Report equals a solo Run in a fresh session.
 func TestConcurrentSchedulesShareProgram(t *testing.T) {

@@ -91,8 +91,8 @@ type Session struct {
 	gate *runner.Gate
 	runs runner.Cache[string, *stats.Report]
 
-	// traces caches compiled-kernel traces, synthesized and predecoded,
-	// by kernel identity and schedule (see compiledTrace).
+	// traces caches compiled-kernel traces by kernel identity and
+	// schedule (see compiledTrace).
 	traces runner.Cache[string, *trace.Trace]
 
 	// idTab assigns session-stable identities to run artifacts
@@ -537,13 +537,13 @@ func (s *Session) attachThreads(ctx context.Context, m *core.Machine, spec RunSp
 
 // traceCacheCap bounds the session's compiled-trace cache. A sweep over
 // machine options reuses one trace; the cap keeps a session that runs
-// many distinct schedules from pinning every predecoded trace.
+// many distinct schedules from pinning every synthesized trace.
 const traceCacheCap = 8
 
-// compiledTrace returns the compiled spec's trace, synthesized and
-// predecoded once per session for each kernel and schedule, so the
-// points of a sweep share one instruction supply. A synthesis requested
-// under a cancelled ctx fails with ctx.Err() and is not cached.
+// compiledTrace returns the compiled spec's trace, synthesized once per
+// session for each kernel and schedule, so the points of a sweep share
+// one instruction supply. A synthesis requested under a cancelled ctx
+// fails with ctx.Err() and is not cached.
 func (s *Session) compiledTrace(ctx context.Context, spec RunSpec) (*trace.Trace, error) {
 	key := string(appendSupply(nil, &spec, s.idOf))
 	return s.traces.DoContext(ctx, key, func() (*trace.Trace, error) {
@@ -554,7 +554,6 @@ func (s *Session) compiledTrace(ctx context.Context, spec RunSpec) (*trace.Trace
 		if err != nil {
 			return nil, err
 		}
-		tr.Decoded() // predecode before the trace is shared
 		return tr, nil
 	})
 }

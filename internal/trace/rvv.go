@@ -145,7 +145,7 @@ func ExportRVV(w io.Writer, t *Trace) error {
 	}
 	fmt.Fprintf(bw, "vlen: %d\n", maxVL)
 
-	s := prog.NewStreamVL(t.Prog, t.Source(), t.MaxVL)
+	s := t.Stream()
 	var d isa.DynInst
 	for s.Next(&d) {
 		if err := exportInst(bw, &d); err != nil {
@@ -289,7 +289,7 @@ func ImportRVV(r io.Reader) (*Trace, error) {
 	}
 	// End-to-end validation: the reconstructed trace must replay cleanly
 	// through the engine's own stream expansion.
-	if _, _, err := prog.NewStreamVL(imp.t.Prog, imp.t.Source(), imp.t.MaxVL).Drain(); err != nil {
+	if _, _, err := imp.t.Stream().Drain(); err != nil {
 		return nil, fmt.Errorf("trace: rvv: imported trace does not replay: %w", err)
 	}
 	return imp.t, nil

@@ -68,8 +68,8 @@ func allOpsTrace() *Trace {
 // rebuilds the static layout).
 func sameReplay(t *testing.T, want, got *Trace) {
 	t.Helper()
-	s1 := prog.NewStreamVL(want.Prog, want.Source(), want.MaxVL)
-	s2 := prog.NewStreamVL(got.Prog, got.Source(), got.MaxVL)
+	s1 := want.Stream()
+	s2 := got.Stream()
 	var d1, d2 isa.DynInst
 	for i := 0; ; i++ {
 		ok1, ok2 := s1.Next(&d1), s2.Next(&d2)
@@ -230,7 +230,7 @@ func TestRVVImportBadLines(t *testing.T) {
 // drainOps replays a trace and returns the opcode sequence.
 func drainOps(t *testing.T, tr *Trace) []isa.Op {
 	t.Helper()
-	s := prog.NewStreamVL(tr.Prog, tr.Source(), tr.MaxVL)
+	s := tr.Stream()
 	var d isa.DynInst
 	var ops []isa.Op
 	for s.Next(&d) {
@@ -264,7 +264,7 @@ vsetvli 256 m2
 vfadd.vv v0, v2, v4
 vle64.v v6, a2 @0x1000
 `)
-	_, st, err := prog.NewStreamVL(tr.Prog, tr.Source(), tr.MaxVL).Drain()
+	_, st, err := tr.Stream().Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ vlen: 128
 vsetvli 130 m2
 vfadd.vv v0, v2, v4
 `)
-	_, st, err := prog.NewStreamVL(tr.Prog, tr.Source(), tr.MaxVL).Drain()
+	_, st, err := tr.Stream().Drain()
 	if err != nil {
 		t.Fatal(err)
 	}

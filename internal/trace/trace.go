@@ -16,17 +16,14 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sync"
 
 	"mtvec/internal/isa"
 	"mtvec/internal/prog"
 )
 
-// Trace is a fully-captured execution of a static program.
-//
-// The first Stream call may predecode the whole dynamic instruction
-// sequence and cache it on the Trace as 24-byte records over Prog's
-// static decode table (see Decoded); do not mutate a Trace's fields, or
+// Trace is a fully-captured execution of a static program. Its streams
+// are the only copy of the dynamic instruction sequence: every replay
+// reads them in place (see Stream). Do not mutate a Trace's fields, or
 // its program, after streams have been created from it.
 type Trace struct {
 	Prog    *prog.Program
@@ -41,154 +38,73 @@ type Trace struct {
 	// runtime-only (the on-disk format does not carry it; decoded traces
 	// replay at the reference length).
 	MaxVL int64
-
-	decOnce sync.Once
-	dec     []prog.DecodedInst // predecoded dynamic records, nil if unavailable
 }
 
-// maxDecodedInsts caps the predecode cache: traces whose dynamic length
-// exceeds it (48 MiB of 24-byte records) replay through the TraceSource
-// path instead of being materialized.
-const maxDecodedInsts = 2 << 20
-
-// Source returns a TraceSource replaying the captured streams. Each call
-// returns an independent replay positioned at the beginning.
-func (t *Trace) Source() prog.TraceSource {
-	return &replay{t: t}
-}
-
-// Stream returns a dynamic instruction stream replaying the trace.
-// Reasonably-sized traces are served from a shared predecoded record
-// sequence, built on the first replay and bit-identical to source replay:
-// the paper's methodology replays each program many times — restarting
-// companions, grouped sweeps, repeated experiment points — so the
-// per-instruction expansion is paid once per trace, not once per run.
-// Consumers that never replay (workload builds validating through
-// Source-driven streams) never pay for materialization.
+// Stream returns a dynamic instruction stream replaying the trace in
+// place: it walks BBs over the program's static decode table and reads
+// VLs, Strides and Addrs where they lie, so a replay allocates only the
+// stream itself, however long the trace. Each call returns an
+// independent replay positioned at the beginning; any number may run
+// concurrently.
 func (t *Trace) Stream() *prog.Stream {
-	if dec := t.Decoded(); dec != nil {
-		return prog.NewDecodedStream(t.Prog, dec)
-	}
-	return prog.NewStreamVL(t.Prog, t.Source(), t.MaxVL)
+	return prog.NewReplayStream(t.Prog, t.BBs, t.VLs, t.Strides, t.Addrs, t.MaxVL)
 }
 
-// dynLen returns the trace's dynamic instruction count, without decoding.
-func (t *Trace) dynLen() int64 {
-	var perBlock []int64
-	if t.Prog != nil {
-		perBlock = make([]int64, len(t.Prog.Blocks))
-		for i := range t.Prog.Blocks {
-			perBlock[i] = int64(len(t.Prog.Blocks[i].Insts))
-		}
-	}
-	var n int64
-	for _, b := range t.BBs {
-		// Out-of-range ids (either sign) contribute nothing here; the
-		// replay itself rejects them with a proper error.
-		if b >= 0 && int(b) < len(perBlock) {
-			n += perBlock[b]
-		}
-	}
-	return n
-}
-
-// Decoded returns the trace's predecoded dynamic records, building and
-// caching them on first use: one 24-byte prog.DecodedInst per dynamic
-// instruction, whose static half (instruction and decode) lives once
-// per PC in the program. It returns nil when the trace is too large to
-// materialize or does not replay cleanly — callers fall back to
-// Source-driven streaming, which reproduces the same sequence (and
-// surfaces the same error at the same instruction, if any).
+// Decoded materializes the trace as one prog.DecodedInst per dynamic
+// instruction, or returns nil when the trace does not replay cleanly.
+// It builds a fresh slice on every call and caches nothing; the
+// simulator replays through Stream and never calls it.
 func (t *Trace) Decoded() []prog.DecodedInst {
-	t.decOnce.Do(func() {
-		n := t.dynLen()
-		if n == 0 || n > maxDecodedInsts {
-			return
-		}
-		dec, err := prog.DecodeAllVL(t.Prog, t.Source(), n, t.MaxVL)
-		if err != nil {
-			return // let the streaming path surface the error
-		}
-		t.dec = dec
-	})
-	return t.dec
-}
-
-type replay struct {
-	t              *Trace
-	bi, vi, si, ai int
-	err            error
-}
-
-func (r *replay) NextBB() (int, bool) {
-	if r.err != nil || r.bi >= len(r.t.BBs) {
-		return 0, false
-	}
-	b := int(r.t.BBs[r.bi])
-	r.bi++
-	return b, true
-}
-
-func (r *replay) NextVL() int64 {
-	if r.vi >= len(r.t.VLs) {
-		r.err = fmt.Errorf("trace: vector-length stream exhausted")
-		return 1
-	}
-	v := r.t.VLs[r.vi]
-	r.vi++
-	return v
-}
-
-func (r *replay) NextStride() int64 {
-	if r.si >= len(r.t.Strides) {
-		r.err = fmt.Errorf("trace: stride stream exhausted")
-		return 0
-	}
-	v := r.t.Strides[r.si]
-	r.si++
-	return v
-}
-
-func (r *replay) NextAddr() uint64 {
-	if r.ai >= len(r.t.Addrs) {
-		r.err = fmt.Errorf("trace: address stream exhausted")
-		return 0
-	}
-	v := r.t.Addrs[r.ai]
-	r.ai++
-	return v
-}
-
-func (r *replay) Err() error { return r.err }
-
-// Record captures up to maxInsts dynamic instructions (all of them if
-// maxInsts <= 0) of program p driven by src, returning the captured trace.
-// This is the instrumentation step of the Dixie flow: run once, keep the
-// four streams.
-func Record(p *prog.Program, src prog.TraceSource, maxInsts int64) (*Trace, error) {
-	t := &Trace{Prog: p}
-	rec := &recorder{src: src, t: t}
-	s := prog.NewStream(p, rec)
+	var dec []prog.DecodedInst
+	s := t.Stream()
 	var d isa.DynInst
 	for s.Next(&d) {
-		if maxInsts > 0 && s.Count() >= maxInsts {
-			break
+		r := prog.DecodedInst{PC: d.PC, VL: d.VL, Addr: d.Addr}
+		switch isa.KindOf(d.Op) {
+		case isa.KindVLVS:
+			r.Val = d.SetVal
+		case isa.KindVectorMem:
+			r.Val = d.Stride
 		}
+		dec = append(dec, r)
 	}
-	if err := s.Err(); err != nil {
+	if s.Err() != nil {
+		return nil
+	}
+	return dec
+}
+
+// Record captures program p driven by src, returning the captured trace.
+// This is the instrumentation step of the Dixie flow: run once, keep the
+// four streams. With maxInsts > 0 recording stops at the first block
+// boundary at or after maxInsts dynamic instructions, so the trace holds
+// every value its blocks consume.
+func Record(p *prog.Program, src prog.TraceSource, maxInsts int64) (*Trace, error) {
+	rec := &recorder{src: src, t: &Trace{Prog: p}, max: maxInsts}
+	rec.s = prog.NewStream(p, rec)
+	var d isa.DynInst
+	for rec.s.Next(&d) {
+	}
+	if err := rec.s.Err(); err != nil {
 		return nil, err
 	}
-	return t, nil
+	return rec.t, nil
 }
 
 // recorder forwards a TraceSource while appending every value drawn to
-// the trace under construction.
+// the trace under construction. It ends the block trace once the stream
+// it feeds, s, has delivered max instructions.
 type recorder struct {
 	src prog.TraceSource
 	t   *Trace
+	s   *prog.Stream
+	max int64
 }
 
 func (r *recorder) NextBB() (int, bool) {
+	if r.max > 0 && r.s.Count() >= r.max {
+		return 0, false
+	}
 	b, ok := r.src.NextBB()
 	if ok {
 		r.t.BBs = append(r.t.BBs, int32(b))

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -147,30 +148,78 @@ func TestDecodeTruncated(t *testing.T) {
 	}
 }
 
+// sliceSource is a TraceSource over the trace's own slices: the
+// source-driven oracle in-place replay is checked against.
+func sliceSource(t *Trace) *prog.SliceSource {
+	bbs := make([]int, len(t.BBs))
+	for i, b := range t.BBs {
+		bbs[i] = int(b)
+	}
+	return &prog.SliceSource{BBs: bbs, VLs: t.VLs, Strides: t.Strides, Addrs: t.Addrs}
+}
+
+// TestReplaySourceMatchesSlices: Stream replays the trace's slices in
+// place exactly as a source-driven stream over the same slices expands
+// them, and a value stream that runs dry fails both at the same point.
 func TestReplaySourceMatchesSlices(t *testing.T) {
-	tr := sampleTrace(4)
-	src := tr.Source()
-	var bbs []int
-	for {
-		b, ok := src.NextBB()
-		if !ok {
-			break
+	short := sampleTrace(4)
+	short.Addrs = short.Addrs[:5] // the third body iteration's store runs dry
+	for name, tr := range map[string]*Trace{"clean": sampleTrace(4), "short-addrs": short} {
+		want := prog.NewStreamVL(tr.Prog, sliceSource(tr), tr.MaxVL)
+		got := tr.Stream()
+		var dw, dg isa.DynInst
+		for {
+			okW, okG := want.Next(&dw), got.Next(&dg)
+			if okW != okG {
+				t.Fatalf("%s: stream lengths differ (source ok=%v, in-place ok=%v)", name, okW, okG)
+			}
+			if !okW {
+				break
+			}
+			if dw != dg {
+				t.Fatalf("%s: instruction differs:\n  source:   %v\n  in place: %v", name, &dw, &dg)
+			}
 		}
-		bbs = append(bbs, b)
+		if want.Count() != got.Count() {
+			t.Fatalf("%s: Count %d in place, %d source-driven", name, got.Count(), want.Count())
+		}
+		if fmt.Sprint(want.Err()) != fmt.Sprint(got.Err()) || (got.Err() != nil) != (name == "short-addrs") {
+			t.Fatalf("%s: errors: source-driven %v, in place %v", name, want.Err(), got.Err())
+		}
 	}
-	if len(bbs) != len(tr.BBs) {
-		t.Fatalf("replayed %d blocks, want %d", len(bbs), len(tr.BBs))
+}
+
+// TestDecodedMaterializesRecords: Decoded reduces each replayed
+// instruction to its PC, VL, address and the Stride or SetVal its kind
+// carries, builds a fresh slice per call, and returns nil for a trace
+// that does not replay.
+func TestDecodedMaterializesRecords(t *testing.T) {
+	tr := sampleTrace(3)
+	dec := tr.Decoded()
+	s := tr.Stream()
+	var d isa.DynInst
+	i := 0
+	for ; s.Next(&d); i++ {
+		want := prog.DecodedInst{PC: d.PC, VL: d.VL, Addr: d.Addr}
+		switch isa.KindOf(d.Op) {
+		case isa.KindVLVS:
+			want.Val = d.SetVal
+		case isa.KindVectorMem:
+			want.Val = d.Stride
+		}
+		if i >= len(dec) || dec[i] != want {
+			t.Fatalf("record %d: got %+v, want %+v", i, dec[min(i, len(dec)-1)], want)
+		}
 	}
-	if src.Err() != nil {
-		t.Fatal(src.Err())
+	if i != len(dec) {
+		t.Fatalf("%d records for %d instructions", len(dec), i)
 	}
-	// Draining past the end of a value stream is an error.
-	src2 := tr.Source()
-	for i := 0; i <= len(tr.VLs); i++ {
-		src2.NextVL()
+	if again := tr.Decoded(); &again[0] == &dec[0] {
+		t.Fatal("Decoded returned a cached slice")
 	}
-	if src2.Err() == nil {
-		t.Error("over-reading VL stream not reported")
+	tr.Addrs = tr.Addrs[:1]
+	if tr.Decoded() != nil {
+		t.Fatal("Decoded of a trace that does not replay is not nil")
 	}
 }
 
@@ -212,25 +261,44 @@ func TestRecordThenReplayIdentity(t *testing.T) {
 	}
 }
 
+// TestRecordHonorsMaxInsts: recording stops at the first block boundary
+// at or after maxInsts, so the trace replays cleanly and reproduces the
+// recorded prefix exactly.
 func TestRecordHonorsMaxInsts(t *testing.T) {
 	p := sampleProgram()
-	src := &prog.SliceSource{
-		BBs:     []int{0, 1, 1, 1, 1, 1},
-		VLs:     []int64{64},
-		Strides: []int64{8},
-		Addrs:   []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
+	mkSrc := func() *prog.SliceSource {
+		return &prog.SliceSource{
+			BBs:     []int{0, 1, 1, 1, 1, 1},
+			VLs:     []int64{64},
+			Strides: []int64{8},
+			Addrs:   []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
+		}
 	}
-	tr, err := Record(p, src, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, _, err := tr.Stream().Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Recording stops at the first block boundary at or after maxInsts.
-	if n < 5 || n > 7 {
-		t.Fatalf("recorded %d dynamic instructions, want ~5", n)
+	// Block 0 holds 2 instructions and block 1 holds 4.
+	for _, c := range []struct{ max, want int64 }{
+		{1, 2},  // mid-block: finish the header
+		{3, 6},  // mid-block: finish the first body iteration
+		{5, 6},  // mid-block, one short of the boundary
+		{6, 6},  // exactly at a block boundary
+		{7, 10}, // one past it: a whole further iteration
+	} {
+		tr, err := Record(p, mkSrc(), c.max)
+		if err != nil {
+			t.Fatalf("maxInsts %d: %v", c.max, err)
+		}
+		got, direct := tr.Stream(), prog.NewStream(p, mkSrc())
+		var dg, dd isa.DynInst
+		for got.Next(&dg) {
+			if !direct.Next(&dd) || dg != dd {
+				t.Fatalf("maxInsts %d: replayed inst %d is %v, recorded run had %v", c.max, got.Count(), &dg, &dd)
+			}
+		}
+		if err := got.Err(); err != nil {
+			t.Fatalf("maxInsts %d: replay: %v", c.max, err)
+		}
+		if got.Count() != c.want {
+			t.Fatalf("maxInsts %d: recorded %d dynamic instructions, want %d", c.max, got.Count(), c.want)
+		}
 	}
 }
 

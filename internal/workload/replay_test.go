@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 
 	"mtvec/internal/arch"
@@ -11,61 +13,90 @@ import (
 	"mtvec/internal/vcomp"
 )
 
-// checkPredecodedReplay requires tr to be predecoded and its predecoded
-// streams, read through Next and through NextDec, to equal a fresh
-// source-driven stream field for field, with the same Count and Err.
-func checkPredecodedReplay(t *testing.T, tr *trace.Trace) {
-	t.Helper()
-	if tr.Decoded() == nil {
-		t.Fatal("trace was not predecoded")
+// sourceOf is a source-driven stream over tr's own slices: the oracle
+// in-place replay is checked against.
+func sourceOf(tr *trace.Trace) *prog.Stream {
+	bbs := make([]int, len(tr.BBs))
+	for i, b := range tr.BBs {
+		bbs[i] = int(b)
 	}
-	source := func() *prog.Stream { return prog.NewStreamVL(tr.Prog, tr.Source(), tr.MaxVL) }
+	return prog.NewStreamVL(tr.Prog, &prog.SliceSource{BBs: bbs, VLs: tr.VLs, Strides: tr.Strides, Addrs: tr.Addrs}, tr.MaxVL)
+}
+
+// checkReplay requires tr's in-place replay (Stream), read through Next
+// and through NextExec, to equal source-driven expansion over the same
+// slices field for field, with the same Count, and to end with a non-nil
+// Err exactly when wantErr — the same error on both sides.
+func checkReplay(t *testing.T, tr *trace.Trace, wantErr bool) {
+	t.Helper()
 	sameEnd := func(how string, want, got *prog.Stream) {
 		t.Helper()
 		if want.Count() != got.Count() {
-			t.Fatalf("%s: predecoded Count %d, source-driven %d", how, got.Count(), want.Count())
+			t.Fatalf("%s: in-place Count %d, source-driven %d", how, got.Count(), want.Count())
 		}
-		if want.Err() != nil || got.Err() != nil {
-			t.Fatalf("%s: errors: source-driven %v, predecoded %v", how, want.Err(), got.Err())
+		we, ge := want.Err(), got.Err()
+		if (we != nil) != wantErr || (ge != nil) != wantErr || (we != nil && we.Error() != ge.Error()) {
+			t.Fatalf("%s: errors: source-driven %v, in place %v (want error: %v)", how, we, ge, wantErr)
 		}
 	}
 
-	want, got := source(), tr.Stream()
+	want, got := sourceOf(tr), tr.Stream()
 	var dw, dg isa.DynInst
 	for i := 0; ; i++ {
 		okW, okG := want.Next(&dw), got.Next(&dg)
 		if okW != okG {
-			t.Fatalf("Next: inst %d: source-driven ok=%v, predecoded ok=%v", i, okW, okG)
+			t.Fatalf("Next: inst %d: source-driven ok=%v, in-place ok=%v", i, okW, okG)
 		}
 		if !okW {
 			break
 		}
 		if dw != dg {
-			t.Fatalf("Next: inst %d: predecoded %+v, source-driven %+v", i, dg, dw)
+			t.Fatalf("Next: inst %d: in place %+v, source-driven %+v", i, dg, dw)
 		}
 	}
 	sameEnd("Next", want, got)
 
-	want, got = source(), tr.Stream()
+	want, got = sourceOf(tr), tr.Stream()
 	for i := 0; ; i++ {
-		vw, vg := want.NextDec(), got.NextDec()
-		if (vw == nil) != (vg == nil) {
-			t.Fatalf("NextDec: inst %d: source-driven ended=%v, predecoded ended=%v", i, vw == nil, vg == nil)
+		sw, vlw, stw := want.NextExec()
+		sg, vlg, stg := got.NextExec()
+		if (sw == nil) != (sg == nil) {
+			t.Fatalf("NextExec: inst %d: source-driven ended=%v, in-place ended=%v", i, sw == nil, sg == nil)
 		}
-		if vw == nil {
+		if sw == nil {
 			break
 		}
-		if *vw != *vg {
-			t.Fatalf("NextDec: inst %d: predecoded %+v, source-driven %+v", i, *vg, *vw)
+		if *sw != *sg || vlw != vlg || stw != stg {
+			t.Fatalf("NextExec: inst %d: in place %+v vl %d stride %d, source-driven %+v vl %d stride %d", i, *sg, vlg, stg, *sw, vlw, stw)
 		}
 	}
-	sameEnd("NextDec", want, got)
+	sameEnd("NextExec", want, got)
 }
 
-// TestPredecodedReplayMatchesSource: every paper and bench-suite build,
-// a build for a non-default register file (so the trace's MaxVL is not
-// isa.MaxVL) and a compiled-kernel trace replay identically from their
-// predecoded records and from their trace streams.
+// malformed returns copies of tr, sharing its program, broken the ways a
+// corrupt trace can be: a block id past the program and each value
+// stream cut short.
+func malformed(tr *trace.Trace) map[string]*trace.Trace {
+	cp := func() *trace.Trace {
+		c := *tr
+		return &c
+	}
+	badBB, shortVL, shortStride, shortAddr := cp(), cp(), cp(), cp()
+	badBB.BBs = append([]int32(nil), tr.BBs...)
+	badBB.BBs[len(badBB.BBs)/2] = int32(len(tr.Prog.Blocks))
+	shortVL.VLs = tr.VLs[:len(tr.VLs)/2]
+	shortStride.Strides = tr.Strides[:len(tr.Strides)/2]
+	shortAddr.Addrs = tr.Addrs[:len(tr.Addrs)/2]
+	return map[string]*trace.Trace{"bad-block": badBB, "short-vl": shortVL, "short-stride": shortStride, "short-addr": shortAddr}
+}
+
+// TestPredecodedReplayMatchesSource: replay over the program's
+// predecoded static table, reading the trace in place, equals
+// source-driven expansion for every paper and bench-suite build, a build
+// for a non-default register file (so the trace's MaxVL is not
+// isa.MaxVL), a compiled-kernel trace and an RVV-imported trace; and a
+// malformed trace stops both at the same instruction with the same
+// error.
 func TestPredecodedReplayMatchesSource(t *testing.T) {
 	for _, s := range append(Specs(), BenchSpecs()...) {
 		t.Run(s.Short, func(t *testing.T) {
@@ -73,7 +104,7 @@ func TestPredecodedReplayMatchesSource(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkPredecodedReplay(t, w.Trace)
+			checkReplay(t, w.Trace, false)
 		})
 	}
 	t.Run("regfile", func(t *testing.T) {
@@ -85,7 +116,7 @@ func TestPredecodedReplayMatchesSource(t *testing.T) {
 		if w.Trace.MaxVL != 64 {
 			t.Fatalf("trace MaxVL = %d, want the register file's 64", w.Trace.MaxVL)
 		}
-		checkPredecodedReplay(t, w.Trace)
+		checkReplay(t, w.Trace, false)
 	})
 	t.Run("compiled", func(t *testing.T) {
 		x := &kernel.Array{Name: "x", Base: 0x10000, Stride: 8}
@@ -108,6 +139,60 @@ func TestPredecodedReplayMatchesSource(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkPredecodedReplay(t, tr)
+		checkReplay(t, tr, false)
 	})
+	t.Run("rvv", func(t *testing.T) {
+		w, err := ByShort("tf").Build(testScale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var text bytes.Buffer
+		if err := trace.ExportRVV(&text, w.Trace); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := trace.ImportRVV(&text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkReplay(t, tr, false)
+	})
+	tf, err := ByShort("tf").Build(testScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tr := range malformed(tf.Trace) {
+		t.Run("malformed/"+name, func(t *testing.T) { checkReplay(t, tr, true) })
+	}
+}
+
+// TestReplayAllocatesOnlyTheStream guards against per-instruction state
+// outliving a replay: draining Stream of a fresh Trace over tf's program
+// and streams, replay after replay, allocates a small constant — the
+// stream itself — however long the trace, so a simulator's resident
+// memory is its traces and nothing more.
+func TestReplayAllocatesOnlyTheStream(t *testing.T) {
+	w, err := ByShort("tf").Build(testScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := w.Trace
+	const replays, perReplay = 8, 4 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var n int64
+	for i := 0; i < replays; i++ {
+		tr := &trace.Trace{Prog: src.Prog, BBs: src.BBs, VLs: src.VLs, Strides: src.Strides, Addrs: src.Addrs, MaxVL: src.MaxVL}
+		s := tr.Stream()
+		var d isa.DynInst
+		for s.Next(&d) {
+		}
+		if err := s.Err(); err != nil {
+			t.Fatal(err)
+		}
+		n = s.Count()
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / replays; got > perReplay {
+		t.Fatalf("a replay of %d instructions allocated %d B, want at most %d B whatever its length", n, got, perReplay)
+	}
 }

@@ -135,11 +135,9 @@ func (s *Spec) BuildOpts(scale float64, opts vcomp.Options) (*Workload, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: %s: %w", s.Name, err)
 	}
-	// Validate the replay and measure its dynamic statistics through the
-	// source path, leaving the trace's predecode cache to the first run
-	// that actually streams it (build-only consumers like the Table 3
-	// counts never pay for materialization).
-	_, st, err := prog.NewStreamVL(tr.Prog, tr.Source(), tr.MaxVL).Drain()
+	// Validate the replay and measure its dynamic statistics with one
+	// in-place replay, the same path every simulation of it takes.
+	_, st, err := tr.Stream().Drain()
 	if err != nil {
 		return nil, fmt.Errorf("workload: %s: generated trace does not replay: %w", s.Name, err)
 	}
@@ -223,7 +221,7 @@ func FromTrace(name string, tr *trace.Trace) (*Workload, error) {
 	if name == "" {
 		return nil, fmt.Errorf("workload: FromTrace: trace has no program name")
 	}
-	_, st, err := prog.NewStreamVL(tr.Prog, tr.Source(), tr.MaxVL).Drain()
+	_, st, err := tr.Stream().Drain()
 	if err != nil {
 		return nil, fmt.Errorf("workload: %s: trace does not replay: %w", name, err)
 	}
